@@ -3,8 +3,8 @@
 Records (id, wordset, position) are bucketed into a hierarchical
 z-order grid; the miner reports every wordset whose support within a
 single grid cell, at any hierarchy level, reaches the threshold. The
-core is a cell-annotated prefix tree built in two streaming passes plus
-a per-cell conditional-tree growth step, with an optional compiled
+core is a cell-annotated prefix tree built in two passes over one read
+of the records plus a per-cell conditional-tree growth step, with an optional compiled
 backend for the hot kernels.
 """
 

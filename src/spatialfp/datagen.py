@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigInvalid
 from .grid import GeoPoint, Gid, Grid, cell_bounds
 from .text import GeoRecord
@@ -67,6 +65,8 @@ def _validate(cfg: GenConfig, grid: Grid) -> None:
 
 def generate(cfg: GenConfig, grid: Grid) -> list[GeoRecord]:
     """Build the full record list in memory. Deterministic for a given seed."""
+    import numpy as np  # here, so importing the package does not load numpy
+
     _validate(cfg, grid)
     n = cfg.n_records
     rng = np.random.default_rng(cfg.seed)

@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import PointOutOfBounds
-from .grid import Gid, Grid, encode
+from .grid import Gid, Grid
 from .spatial_mining import (SpatialPattern, expand_sigmas, mine_tree,
                              sort_patterns)
-from .spatial_tree import (ScanStats, SpatialTree, WordTable, filter_sort,
-                           insert_record, scan_counts)
+from .spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
+                           scan_counts, sorted_records)
 from .text import GeoRecord
 
 try:
@@ -79,8 +78,9 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
          backend: str | None = None,
          after_scan: Callable[[], None] | None = None,
          ) -> tuple[list[SpatialPattern], MineReport]:
-    """Mine a replayable record source; returns sorted patterns plus a report.
+    """Mine a record source, read once; returns sorted patterns plus a report.
 
+    ``source`` is any iterable of records, a one-shot generator included.
     ``sigma`` is a single threshold or a per-level list (root first).
     The word-retention pass uses the smallest level threshold, which
     never drops a word that could still qualify at some level.
@@ -92,7 +92,7 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     stats = ScanStats()
 
     t0 = time.perf_counter()
-    words, header = scan_counts(source, min(sigmas), grid, stats)
+    words, header, cols = scan_counts(source, min(sigmas), grid, stats)
     if after_scan is not None:
         after_scan()
     t1 = time.perf_counter()
@@ -100,13 +100,8 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     if chosen == "fast":
         miner = FastMiner(len(words), grid.height)
         rank = words.rank
-        for rec in source:
-            try:
-                leaf = encode(rec.point, grid)
-            except PointOutOfBounds:
-                continue
-            ranks = sorted(rank[w] for w in rec.words if w in rank)
-            miner.insert(ranks, leaf.code)
+        for wids, leaf in sorted_records(cols, words):
+            miner.insert([rank[w] for w in wids], leaf)
         miner.finalize()
         t2 = time.perf_counter()
         raw = miner.mine(sigmas)
@@ -119,14 +114,8 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
         t3 = time.perf_counter()
     else:
         tree = SpatialTree(words, header, grid.height)
-        for rec in source:
-            try:
-                leaf = encode(rec.point, grid)
-            except PointOutOfBounds:
-                continue
-            wids = filter_sort(rec.words, words)
-            if wids:
-                insert_record(tree, wids, leaf.code)
+        for wids, leaf in sorted_records(cols, words):
+            insert_record(tree, wids, leaf)
         t2 = time.perf_counter()
         patterns = mine_tree(tree, sigmas)
         t3 = time.perf_counter()

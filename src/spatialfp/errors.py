@@ -33,9 +33,5 @@ class UnknownEntry(SpatialFpError):
     """A (word, cell) pair that is not part of the structure being queried."""
 
 
-class InconsistentScan(SpatialFpError):
-    """The second ingestion pass saw data the first pass did not."""
-
-
 class ConfigInvalid(SpatialFpError):
     """Inconsistent or out-of-range configuration values."""

@@ -64,12 +64,12 @@ def parse_record_line(line: str, seq: int, vocab: Vocabulary,
 
 
 class FileSource:
-    """Replayable record source over a line-delimited file.
+    """Record source over a line-delimited file, parsed as it streams.
 
-    Each iteration re-reads the file from the start, so a two-pass
-    consumer never buffers the records. Malformed lines are skipped;
-    ``lines_read`` and ``malformed`` describe the last completed pass.
-    Re-interning on later passes is a no-op, the ids are already there.
+    Each iteration reads the file from the start, parsing every line
+    once. Malformed lines are skipped; ``lines_read`` and ``malformed``
+    describe the last iteration. Iterating again re-interns the same
+    words, which keeps their ids.
     """
 
     def __init__(self, path: str, vocab: Vocabulary,

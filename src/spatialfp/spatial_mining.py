@@ -47,9 +47,9 @@ def level_table(header: CellTable, height: int, level: int,
     """Leaf counts aggregated to ``level``, entries below sigma dropped."""
     shift = 2 * (height - level)
     agg: dict[tuple[int, int], int] = {}
-    for wid, cell, entry in header.items():
+    for wid, cell, count in header.items():
         key = (wid, cell >> shift)
-        agg[key] = agg.get(key, 0) + entry.count
+        agg[key] = agg.get(key, 0) + count
     return {k: c for k, c in agg.items() if c >= sigma}
 
 
@@ -114,9 +114,9 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[SpatialPattern]:
         sigma = sigmas[level]
         for wid in reversed(tree.words.order):
             totals: dict[int, int] = {}
-            for cell, entry in tree.header.cells_of(wid).items():
+            for cell, count in tree.header.cells_of(wid).items():
                 anc = cell >> shift
-                totals[anc] = totals.get(anc, 0) + entry.count
+                totals[anc] = totals.get(anc, 0) + count
             buckets: dict[int, list[tuple[SpatialNode, int]]] = {}
             for node in tree.nodes_of(wid):
                 per_anc: dict[int, int] = {}

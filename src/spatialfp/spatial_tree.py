@@ -1,19 +1,21 @@
-"""Cell-annotated prefix tree built in two streaming passes.
+"""Cell-annotated prefix tree built in two passes over one read.
 
-Pass one counts every word globally and per leaf cell; words whose
-global count falls below sigma are dropped for good. Pass two re-reads
-the same records and inserts each surviving wordset, sorted by global
+Pass one reads each record once: it counts every word globally and per
+leaf cell and keeps the in-box records as compact columns. Words whose
+global count falls below sigma are dropped for good. Pass two walks the
+columns and inserts each record's surviving words, sorted by global
 frequency, into a prefix tree whose nodes carry per-leaf-cell counts.
-The per-(word, cell) header keeps the pass-one counts plus links to
-every tree node holding that word for that cell.
+The per-(word, cell) header holds the pass-one counts, and ``nodes_of``
+lists the tree nodes holding each word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InconsistentScan, OrderViolation, PointOutOfBounds
+from .errors import OrderViolation, PointOutOfBounds
 from .grid import Gid, Grid, encode, gid_str
 from .text import GeoRecord
 
@@ -46,53 +48,55 @@ class WordTable:
         return wid in self.counts
 
 
-class CellEntry:
-    __slots__ = ("count", "nodes")
-
-    def __init__(self):
-        self.count = 0
-        self.nodes: list[SpatialNode] = []
-
-
 class CellTable:
-    """Per-(word, leaf cell) counts and node links, indexed by word."""
+    """Per-(word, leaf cell) record counts, indexed by word."""
 
     def __init__(self):
-        self._by_word: dict[int, dict[int, CellEntry]] = {}
+        self._by_word: dict[int, dict[int, int]] = {}
 
-    def add_count(self, wid: int, cell: int, k: int = 1) -> None:
-        cells = self._by_word.get(wid)
-        if cells is None:
-            cells = self._by_word[wid] = {}
-        entry = cells.get(cell)
-        if entry is None:
-            entry = cells[cell] = CellEntry()
-        entry.count += k
+    def add(self, wids: Iterable[int], cell: int) -> None:
+        """Count one record holding ``wids`` in leaf cell ``cell``."""
+        by_word = self._by_word
+        for wid in wids:
+            cells = by_word.get(wid)
+            if cells is None:
+                by_word[wid] = {cell: 1}
+            else:
+                cells[cell] = cells.get(cell, 0) + 1
+
+    def totals(self) -> dict[int, int]:
+        """Each word's count summed over its cells."""
+        return {wid: sum(cells.values()) for wid, cells in self._by_word.items()}
 
     def prune(self, keep: WordTable) -> None:
         for wid in [w for w in self._by_word if w not in keep]:
             del self._by_word[wid]
 
-    def cells_of(self, wid: int) -> dict[int, CellEntry]:
+    def cells_of(self, wid: int) -> dict[int, int]:
         return self._by_word.get(wid, {})
-
-    def entry(self, wid: int, cell: int) -> CellEntry | None:
-        return self._by_word.get(wid, {}).get(cell)
-
-    def add_link(self, wid: int, cell: int, node: "SpatialNode") -> None:
-        entry = self._by_word.get(wid, {}).get(cell)
-        if entry is None:
-            raise InconsistentScan(
-                f"(word {wid}, cell {cell}) was never counted in the first pass")
-        entry.nodes.append(node)
 
     def __len__(self) -> int:
         return sum(len(cells) for cells in self._by_word.values())
 
-    def items(self) -> Iterator[tuple[int, int, CellEntry]]:
+    def items(self) -> Iterator[tuple[int, int, int]]:
         for wid, cells in self._by_word.items():
-            for cell, entry in cells.items():
-                yield wid, cell, entry
+            for cell, count in cells.items():
+                yield wid, cell, count
+
+
+class Columns:
+    """The in-box records of one read as compact arrays: record ``i``
+    holds ``wids[offsets[i]:offsets[i + 1]]`` in leaf cell ``leaves[i]``."""
+
+    def __init__(self):
+        self.offsets = array("q", [0])
+        self.wids = array("I")
+        self.leaves = array("q")
+
+    def append(self, wids: Iterable[int], leaf: int) -> None:
+        self.wids.extend(wids)
+        self.offsets.append(len(self.wids))
+        self.leaves.append(leaf)
 
 
 class SpatialNode:
@@ -119,47 +123,62 @@ class SpatialTree:
 
 
 def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
-                stats: ScanStats | None = None) -> tuple[WordTable, CellTable]:
-    """First pass: global word counts and the per-(word, cell) skeleton.
+                stats: ScanStats | None = None,
+                ) -> tuple[WordTable, CellTable, Columns]:
+    """First pass: the one read of ``records``.
 
-    Returns the retained words (global count >= sigma) and the cell
-    table restricted to them, counts filled in and node links empty.
+    Returns the retained words (global count >= sigma), the cell table
+    restricted to them, and the in-box records as columns for pass two.
     """
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
-    counts: dict[int, int] = {}
     header = CellTable()
+    cols = Columns()
+    seen = skipped = 0
     for rec in records:
-        if stats is not None:
-            stats.records += 1
+        seen += 1
         try:
-            leaf = encode(rec.point, grid)
+            leaf = encode(rec.point, grid).code
         except PointOutOfBounds:
-            if stats is not None:
-                stats.skipped += 1
+            skipped += 1
             continue
-        for wid in rec.words:
-            counts[wid] = counts.get(wid, 0) + 1
-            header.add_count(wid, leaf.code)
+        header.add(rec.words, leaf)
+        cols.append(rec.words, leaf)
+    counts = header.totals()
     if stats is not None:
+        stats.records = seen
+        stats.skipped = skipped
         stats.distinct_words = len(counts)
     words = WordTable({w: c for w, c in counts.items() if c >= sigma})
     header.prune(words)
-    return words, header
+    return words, header, cols
 
 
-def filter_sort(wordset: frozenset[int] | set[int], words: WordTable) -> list[int]:
+def filter_sort(wordset: Iterable[int], words: WordTable) -> list[int]:
     """Drop unretained words and sort the rest by the global order."""
     rank = words.rank
-    return sorted((w for w in wordset if w in rank), key=rank.__getitem__)
+    return sorted([w for w in wordset if w in rank], key=rank.__getitem__)
+
+
+def sorted_records(cols: Columns, words: WordTable) -> Iterator[tuple[list[int], int]]:
+    """Pass two: each record's retained words in global order, with its leaf.
+
+    Records left with no retained word are skipped.
+    """
+    wids = cols.wids
+    start = 0
+    for end, leaf in zip(cols.offsets[1:], cols.leaves):
+        kept = filter_sort(wids[start:end], words)
+        start = end
+        if kept:
+            yield kept, leaf
 
 
 def insert_record(tree: SpatialTree, sorted_wids: list[int], cell: int) -> None:
     """Second-pass insertion of one record's surviving words.
 
-    Walks or extends the prefix path, bumps the touched nodes' counts
-    for ``cell``, and links each (word, cell) header entry to a node the
-    first time that node sees that cell.
+    Walks or extends the prefix path and bumps the touched nodes'
+    counts for ``cell``.
     """
     rank = tree.words.rank
     node = tree.root
@@ -177,30 +196,19 @@ def insert_record(tree: SpatialTree, sorted_wids: list[int], cell: int) -> None:
             node.children[wid] = child
             tree._nodes_by_word.setdefault(wid, []).append(child)
             child.cells[cell] = 1
-            tree.header.add_link(wid, cell, child)
         else:
-            seen = child.cells.get(cell)
-            if seen is None:
-                child.cells[cell] = 1
-                tree.header.add_link(wid, cell, child)
-            else:
-                child.cells[cell] = seen + 1
+            cells = child.cells
+            cells[cell] = cells.get(cell, 0) + 1
         node = child
 
 
 def build_tree(source: Iterable[GeoRecord], sigma: int, grid: Grid,
                stats: ScanStats | None = None) -> SpatialTree:
-    """Two passes over a replayable record source; see the module docstring."""
-    words, header = scan_counts(source, sigma, grid, stats)
+    """Both passes over one read of ``source``; see the module docstring."""
+    words, header, cols = scan_counts(source, sigma, grid, stats)
     tree = SpatialTree(words, header, grid.height)
-    for rec in source:
-        try:
-            leaf = encode(rec.point, grid)
-        except PointOutOfBounds:
-            continue
-        wids = filter_sort(rec.words, words)
-        if wids:
-            insert_record(tree, wids, leaf.code)
+    for wids, leaf in sorted_records(cols, words):
+        insert_record(tree, wids, leaf)
     return tree
 
 

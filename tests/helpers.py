@@ -139,11 +139,18 @@ def check_mass_conservation(tree: SpatialTree, records, grid: Grid) -> None:
 
 
 def check_header_consistency(tree: SpatialTree) -> None:
-    """Each (word, cell) header count equals the sum over its linked nodes."""
-    for wid, cell, entry in tree.header.items():
-        node_sum = sum(n.cells.get(cell, 0) for n in entry.nodes)
-        assert node_sum == entry.count, (wid, cell)
-        assert len(entry.nodes) == len(set(map(id, entry.nodes))), (wid, cell)
+    """Each (word, cell) header count equals that cell's count summed over
+    the word's nodes, and the nodes of a word are distinct and hold it."""
+    for wid, cell, count in tree.header.items():
+        node_sum = sum(n.cells.get(cell, 0) for n in tree.nodes_of(wid))
+        assert node_sum == count, (wid, cell)
+    node_pairs = set()
+    for wid in tree.words.order:
+        nodes = tree.nodes_of(wid)
+        assert len(nodes) == len(set(map(id, nodes))), wid
+        assert all(n.wid == wid for n in nodes), wid
+        node_pairs.update((wid, cell) for n in nodes for cell in n.cells)
+    assert node_pairs == {(wid, cell) for wid, cell, _ in tree.header.items()}
 
 
 def check_prefix_order(tree: SpatialTree) -> None:

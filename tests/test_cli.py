@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from unittest.mock import Mock
 
 import pytest
 
 from helpers import run_cli, summary_fields, write_reference_corpus
+from spatialfp import cli, engine, formats
 from spatialfp.engine import HAVE_SPEEDUPS
 from spatialfp.formats import FileSource, read_patterns
 from spatialfp.grid import METERS_PER_DEGREE
@@ -119,6 +123,45 @@ def test_mine_aborts_when_too_many_lines_are_malformed(ref_corpus, tmp_path):
     assert proc.returncode == 1
     assert "malformed" in proc.stderr
     assert not out.exists()
+
+
+def _mine_in_process(ref_corpus, tmp_path):
+    out = tmp_path / "patterns.jsonl"
+    code = cli.main(["mine", "--input", str(ref_corpus), "--output", str(out),
+                     "--bbox", "0,0,4,4", "--height", "1", "--sigma", "2"])
+    return code, out
+
+
+def test_mine_parses_each_line_once(ref_corpus, tmp_path, monkeypatch, capsys):
+    parse = Mock(wraps=formats.parse_record_line)
+    monkeypatch.setattr(formats, "parse_record_line", parse)
+    code, out = _mine_in_process(ref_corpus, tmp_path)
+    assert code == 0, capsys.readouterr().err
+    lines = [ln for ln in ref_corpus.read_text(encoding="utf-8").splitlines()
+             if ln.strip()]
+    assert parse.call_count == len(lines) == 4
+    assert read_patterns(str(out)) == GOLDEN_ROWS
+
+
+def test_malformed_guard_aborts_before_the_tree_build(ref_corpus, tmp_path,
+                                                      monkeypatch, capsys):
+    with open(ref_corpus, "a", encoding="utf-8") as fh:
+        fh.write("garbage one\n")
+        fh.write("garbage two\n")
+    insert = Mock(wraps=engine.insert_record)
+    monkeypatch.setattr(engine, "insert_record", insert)
+    code, out = _mine_in_process(ref_corpus, tmp_path)
+    assert code == 1
+    assert "malformed" in capsys.readouterr().err
+    insert.assert_not_called()
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    code = "import sys, spatialfp.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_mine_derives_height_from_cell_meters(tmp_path):

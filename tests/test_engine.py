@@ -102,3 +102,43 @@ def test_after_scan_hook_runs_before_the_tree_build():
 
     with pytest.raises(RuntimeError, match="stop here"):
         engine.mine(reference_records(), 2, REF_GRID, after_scan=boom)
+
+
+def _generated_instance():
+    grid = Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), 2)
+    records = generate(GenConfig(n_records=300, vocab_size=30,
+                                 words_per_record_mean=5.0, seed=13), grid)
+    return records, grid
+
+
+@pytest.mark.parametrize("backend", engine.available_backends())
+def test_one_shot_source_gives_the_list_result(backend):
+    records, grid = _generated_instance()
+    listed, _ = engine.mine(records, 5, grid, backend=backend)
+    streamed, _ = engine.mine((r for r in records), 5, grid, backend=backend)
+    assert any(len(p.words) > 1 for p in listed)
+    assert streamed == listed
+
+
+class _ChangingSource:
+    """Yields ``first`` on its first iteration and ``later`` on any other."""
+
+    def __init__(self, first, later):
+        self.first, self.later = first, later
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self.first if self.iterations == 1 else self.later)
+
+
+@pytest.mark.parametrize("backend", engine.available_backends())
+def test_source_is_read_once(backend):
+    records, grid = _generated_instance()
+    first, later = records[:150], records[150:]
+    source = _ChangingSource(first, later)
+    got, report = engine.mine(source, 5, grid, backend=backend)
+    want, _ = engine.mine(first, 5, grid, backend=backend)
+    assert source.iterations == 1
+    assert report.records == len(first)
+    assert got == want

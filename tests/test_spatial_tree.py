@@ -11,12 +11,11 @@ from helpers import (
     fuzz_instance,
     reference_records,
 )
-from spatialfp.errors import InconsistentScan, OrderViolation
+from spatialfp.errors import OrderViolation
 from spatialfp.grid import GeoPoint
 from spatialfp.spatial_tree import (
     CellTable,
     ScanStats,
-    SpatialNode,
     WordTable,
     build_tree,
     dump,
@@ -32,17 +31,19 @@ NAMES = {A: "a", B: "b", C: "c"}.get
 
 def test_first_scan_counts_and_prunes():
     stats = ScanStats()
-    words, header = scan_counts(reference_records(), 2, REF_GRID, stats)
+    words, header, cols = scan_counts(reference_records(), 2, REF_GRID, stats)
     assert words.counts == {A: 3, B: 3}
     assert words.order == [A, B]
     assert words.rank == {A: 0, B: 1}
     assert C not in words
     assert len(header) == 4
-    assert header.entry(A, 0b00).count == 2
-    assert header.entry(A, 0b01).count == 1
-    assert header.entry(B, 0b00).count == 2
-    assert header.entry(B, 0b01).count == 1
-    assert header.entry(C, 0b01) is None  # pruned with its word
+    assert header.cells_of(A) == {0b00: 2, 0b01: 1}
+    assert header.cells_of(B) == {0b00: 2, 0b01: 1}
+    assert header.cells_of(C) == {}  # pruned with its word
+    # The columns keep every in-box record, dropped words included.
+    assert list(cols.offsets) == [0, 2, 4, 5, 7]
+    assert list(cols.leaves) == [0b00, 0b00, 0b01, 0b01]
+    assert sorted(cols.wids[5:7]) == [B, C]
     assert stats.records == 4
     assert stats.skipped == 0
     assert stats.distinct_words == 3
@@ -52,10 +53,11 @@ def test_first_scan_skips_out_of_box():
     records = reference_records() + [
         GeoRecord("far", frozenset({A}), GeoPoint(9.0, 9.0))]
     stats = ScanStats()
-    words, _ = scan_counts(records, 2, REF_GRID, stats)
+    words, _, cols = scan_counts(records, 2, REF_GRID, stats)
     assert stats.records == 5
     assert stats.skipped == 1
     assert words.counts[A] == 3
+    assert len(cols.leaves) == 4
 
 
 def test_first_scan_rejects_bad_sigma():
@@ -84,15 +86,15 @@ def test_build_tree_structure():
         "  b [01:1]")
 
 
-def test_header_links_point_at_distinct_nodes():
+def test_nodes_of_lists_distinct_nodes_per_word():
     tree = build_tree(reference_records(), 2, REF_GRID)
-    deep = tree.header.entry(B, 0b00).nodes
-    shallow = tree.header.entry(B, 0b01).nodes
-    assert len(deep) == 1 and len(shallow) == 1
-    assert deep[0].parent.wid == A
-    assert shallow[0].parent.wid == -1
-    assert deep[0] is not shallow[0]
-    assert tree.nodes_of(B) == [deep[0], shallow[0]]
+    deep, shallow = tree.nodes_of(B)
+    assert deep.parent.wid == A and deep.cells == {0b00: 2}
+    assert shallow.parent.wid == -1 and shallow.cells == {0b01: 1}
+    assert deep is not shallow
+    (top,) = tree.nodes_of(A)
+    assert top.cells == {0b00: 2, 0b01: 1}
+    assert tree.nodes_of(C) == []
 
 
 def test_insert_record_rejects_unsorted_and_unknown():
@@ -103,22 +105,15 @@ def test_insert_record_rejects_unsorted_and_unknown():
         insert_record(tree, [C], 0)
 
 
-def test_add_link_requires_a_counted_entry():
-    table = CellTable()
-    table.add_count(A, 3)
-    table.add_link(A, 3, SpatialNode(A, None))
-    with pytest.raises(InconsistentScan):
-        table.add_link(A, 4, SpatialNode(A, None))
-
-
 def test_cell_table_prune_and_items():
     table = CellTable()
-    table.add_count(A, 0)
-    table.add_count(A, 1)
-    table.add_count(C, 0)
-    table.prune(WordTable({A: 2}))
+    table.add([A, C], 0)
+    table.add([A], 1)
+    table.add([A], 1)
+    assert table.totals() == {A: 3, C: 1}
+    table.prune(WordTable({A: 3}))
     assert len(table) == 2
-    assert {(w, c) for w, c, _ in table.items()} == {(A, 0), (A, 1)}
+    assert set(table.items()) == {(A, 0, 1), (A, 1, 2)}
     assert table.cells_of(C) == {}
 
 
