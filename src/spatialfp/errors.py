@@ -25,10 +25,6 @@ class OrderViolation(SpatialFpError):
     """A word list handed to tree insertion was not in the tree's order."""
 
 
-class UnknownWord(SpatialFpError):
-    """A word id that is not part of the structure being queried."""
-
-
 class UnknownEntry(SpatialFpError):
     """A (word, cell) pair that is not part of the structure being queried."""
 

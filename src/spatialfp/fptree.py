@@ -1,144 +1,91 @@
-"""Classic frequent-pattern tree and the recursive growth miner.
+"""Frequent-pattern growth over conditional bases, with no tree nodes.
 
-Transactions are inserted as word-id lists pre-sorted by the tree's
-order (descending global frequency, ties broken by ascending word id);
-shared prefixes collapse into shared nodes. Mining extracts conditional
-trees per word and recurses, which enumerates every itemset meeting the
-minimum support exactly once.
+A conditional base is a ``{path: weight}`` dict: each path is a tuple of
+word ids in one fixed order (the global order: descending frequency,
+ties ascending word id), words below the minimum support are dropped,
+and equal paths are merged by summing their weights. Merging equal
+paths is the prefix sharing an FP-tree gets from its nodes (Han, Pei &
+Yin, SIGMOD 2000), kept here as plain tuples in the style of H-Mine
+(Pei et al., ICDM 2001). Growth takes, for each word of a base, the
+prefixes in front of it as the word's own conditional base and
+recurses, which enumerates every itemset meeting the minimum support
+exactly once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
-from .errors import OrderViolation, UnknownWord
-
-
-class FpNode:
-    __slots__ = ("wid", "count", "parent", "children")
-
-    def __init__(self, wid: int, parent: "FpNode | None"):
-        self.wid = wid
-        self.count = 0
-        self.parent = parent
-        self.children: dict[int, FpNode] = {}
+Base = dict[tuple[int, ...], int]
 
 
-class _HeaderEntry:
-    __slots__ = ("total", "nodes")
+def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
+                             minsup: int) -> Base:
+    """The conditional base of (path, weight) pairs: words whose summed
+    weight misses ``minsup`` are dropped and equal paths merged.
 
-    def __init__(self):
-        self.total = 0
-        self.nodes: list[FpNode] = []
-
-
-class FpTree:
-    """Prefix tree over word ids with a per-word header of node links.
-
-    ``rank`` maps word id -> position in the tree's insertion order;
-    lower rank means more frequent. Conditional trees share the rank map
-    of the tree they were extracted from.
-    """
-
-    def __init__(self, rank: Mapping[int, int]):
-        self.rank = rank
-        self.root = FpNode(-1, None)
-        self.header: dict[int, _HeaderEntry] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self.header)
-
-    def header_entries(self) -> list[tuple[int, int]]:
-        """(wid, total) pairs ordered by descending total, ties ascending wid."""
-        return sorted(((w, e.total) for w, e in self.header.items()),
-                      key=lambda it: (-it[1], it[0]))
-
-
-def insert_path(tree: FpTree, sorted_wids: Iterable[int], count: int = 1) -> None:
-    """Insert one transaction (or weighted prefix path) along the tree order."""
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
-    node = tree.root
-    prev_rank = -1
-    for wid in sorted_wids:
-        rank = tree.rank.get(wid)
-        if rank is None:
-            raise OrderViolation(f"word {wid} is not in the tree's order")
-        if rank <= prev_rank:
-            raise OrderViolation("words not sorted by the tree's order")
-        prev_rank = rank
-        child = node.children.get(wid)
-        if child is None:
-            child = FpNode(wid, node)
-            node.children[wid] = child
-            entry = tree.header.get(wid)
-            if entry is None:
-                entry = tree.header[wid] = _HeaderEntry()
-            entry.nodes.append(child)
-        child.count += count
-        tree.header[wid].total += count
-        node = child
-
-
-def tree_from_weighted_paths(paths: list[tuple[list[int], int]],
-                             rank: Mapping[int, int], minsup: int) -> FpTree:
-    """Build a tree from (path, weight) pairs, pruning words below minsup.
-
-    Paths must already follow ``rank``; filtering preserves that order.
+    Paths must all follow one order; dropping words preserves it. The
+    name predates bases. The benchmark's tracer counts conditional bases
+    through it, so renaming it waits for in-program spans (ROADMAP
+    item 1).
     """
     totals: dict[int, int] = {}
     for path, weight in paths:
+        if weight <= 0:
+            raise ValueError(f"path weight must be positive, got {weight}")
         for wid in path:
-            totals[wid] = totals.get(wid, 0) + weight
+            if wid in totals:
+                totals[wid] += weight
+            else:
+                totals[wid] = weight
     keep = {wid for wid, total in totals.items() if total >= minsup}
-    tree = FpTree(rank)
+    pruned = len(keep) < len(totals)
+    base: Base = {}
     for path, weight in paths:
-        kept = [wid for wid in path if wid in keep]
-        if kept:
-            insert_path(tree, kept, weight)
-    return tree
+        if pruned:
+            path = tuple([wid for wid in path if wid in keep])
+        if path in base:
+            base[path] += weight
+        elif path:
+            base[path] = weight
+    return base
 
 
-def conditional_tree(tree: FpTree, wid: int, minsup: int = 1) -> FpTree:
-    """Tree of prefix paths above ``wid``, weighted by its node counts."""
-    entry = tree.header.get(wid)
-    if entry is None:
-        raise UnknownWord(f"word {wid} does not occur in this tree")
-    paths: list[tuple[list[int], int]] = []
-    for node in entry.nodes:
-        path: list[int] = []
-        up = node.parent
-        while up is not None and up.wid != -1:
-            path.append(up.wid)
-            up = up.parent
-        path.reverse()
-        paths.append((path, node.count))
-    return tree_from_weighted_paths(paths, tree.rank, minsup)
-
-
-def fp_growth(tree: FpTree, minsup: int) -> dict[frozenset[int], int]:
+def fp_growth(base: Base, minsup: int) -> dict[frozenset[int], int]:
     """All itemsets with support >= minsup, mapped to their exact support."""
     if minsup < 1:
         raise ValueError(f"minsup must be >= 1, got {minsup}")
     out: dict[frozenset[int], int] = {}
 
-    def walk(t: FpTree, suffix: frozenset[int]) -> None:
-        # Least frequent first: reverse of the header order.
-        for wid, total in reversed(t.header_entries()):
+    def walk(b: Base, suffix: frozenset[int]) -> None:
+        # Each word's support in ``b`` and the non-empty prefixes in front of it.
+        totals: dict[int, int] = {}
+        prefixes: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for path, weight in b.items():
+            for pos, wid in enumerate(path):
+                if wid in totals:
+                    totals[wid] += weight
+                else:
+                    totals[wid] = weight
+                    prefixes[wid] = []
+                if pos:
+                    prefixes[wid].append((path[:pos], weight))
+        for wid, total in totals.items():
             if total < minsup:
                 continue
             items = suffix | {wid}
             out[items] = total
-            cond = conditional_tree(t, wid, minsup)
-            if cond:
-                walk(cond, items)
+            if prefixes[wid]:
+                cond = tree_from_weighted_paths(prefixes[wid], minsup)
+                if cond:
+                    walk(cond, items)
 
-    walk(tree, frozenset())
+    walk(base, frozenset())
     return out
 
 
-def build_fp_tree(transactions: Iterable[Iterable[int]], minsup: int) -> FpTree:
-    """Two passes over a transaction list: count, order, filter, insert."""
+def build_fp_tree(transactions: Iterable[Iterable[int]], minsup: int) -> Base:
+    """Two passes over a transaction list: count, order, filter, merge."""
     txs = [set(t) for t in transactions]
     counts: dict[int, int] = {}
     for t in txs:
@@ -147,9 +94,6 @@ def build_fp_tree(transactions: Iterable[Iterable[int]], minsup: int) -> FpTree:
     order = sorted((w for w, c in counts.items() if c >= minsup),
                    key=lambda w: (-counts[w], w))
     rank = {w: i for i, w in enumerate(order)}
-    tree = FpTree(rank)
-    for t in txs:
-        kept = sorted((w for w in t if w in rank), key=rank.__getitem__)
-        if kept:
-            insert_path(tree, kept)
-    return tree
+    return tree_from_weighted_paths(
+        [(tuple(sorted((w for w in t if w in rank), key=rank.__getitem__)), 1)
+         for t in txs], minsup)

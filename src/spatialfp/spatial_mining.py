@@ -1,20 +1,21 @@
 """Multi-level mining over the cell-annotated prefix tree.
 
-For each hierarchy level from the leaves down to the whole box, leaf
-cell counts are aggregated up to that level, words are visited in
-reverse global order, and for every (word, cell) pair meeting sigma a
-non-spatial conditional tree is extracted and mined with fp_growth.
-Every pattern is emitted at the cell where it reached the threshold,
-with its exact per-cell support.
+Words are visited in reverse global order, each once for all levels.
+A word's node entries, sorted by leaf cell, are sliced per (level,
+cell); for every (word, cell) pair meeting that level's sigma the slice
+becomes a non-spatial conditional base, which fp_growth mines. Every
+pattern is emitted at the cell where it reached the threshold, with its
+exact per-cell support.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UnknownEntry
-from .fptree import FpTree, fp_growth, tree_from_weighted_paths
-from .grid import Gid, Grid
+from .fptree import Base, fp_growth, tree_from_weighted_paths
+from .grid import Gid
 from .spatial_tree import CellTable, SpatialNode, SpatialTree, WordTable
 
 
@@ -65,19 +66,19 @@ def reverse_entries(table: dict[tuple[int, int], int],
                   key=lambda e: (-rank[e[0]], e[1]))
 
 
-def _prefix_path(node: SpatialNode) -> list[int]:
+def _prefix_path(node: SpatialNode) -> tuple[int, ...]:
     path: list[int] = []
     up = node.parent
     while up is not None and up.wid != -1:
         path.append(up.wid)
         up = up.parent
     path.reverse()
-    return path
+    return tuple(path)
 
 
 def cell_conditional_tree(tree: SpatialTree, wid: int, gid: Gid,
-                          sigma: int) -> FpTree:
-    """Non-spatial conditional tree of ``wid`` restricted to cell ``gid``.
+                          sigma: int) -> Base:
+    """Conditional base of ``wid`` restricted to cell ``gid``.
 
     Each tree node holding ``wid`` contributes its prefix path weighted
     by the node's leaf counts that fall inside ``gid``; words whose
@@ -86,7 +87,7 @@ def cell_conditional_tree(tree: SpatialTree, wid: int, gid: Gid,
     if wid not in tree.words:
         raise UnknownEntry(f"word {wid} is not retained in this tree")
     shift = 2 * (tree.height - gid.level)
-    paths: list[tuple[list[int], int]] = []
+    paths: list[tuple[tuple[int, ...], int]] = []
     for node in tree.nodes_of(wid):
         weight = 0
         for cell, count in node.cells.items():
@@ -94,46 +95,62 @@ def cell_conditional_tree(tree: SpatialTree, wid: int, gid: Gid,
                 weight += count
         if weight:
             paths.append((_prefix_path(node), weight))
-    return tree_from_weighted_paths(paths, tree.words.rank, sigma)
+    return tree_from_weighted_paths(paths, sigma)
 
 
 def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[SpatialPattern]:
     """All spatially frequent wordsets at every level, canonically sorted.
 
     Equivalent to composing level_table / reverse_entries /
-    cell_conditional_tree per cell, but buckets each word's nodes by
-    ancestor cell once per level so node cell tables are scanned once.
+    cell_conditional_tree per cell, but visits each word once: its
+    nodes' prefix paths are walked once, and their (leaf, node, count)
+    entries are sorted by leaf, so that the entries of any cell at any
+    level are one contiguous slice of that list.
     """
     height = tree.height
     if len(sigmas) != height + 1:
         raise ValueError(f"need {height + 1} per-level sigmas, got {len(sigmas)}")
     out: list[SpatialPattern] = []
-    rank = tree.words.rank
-    for level in range(height, -1, -1):
-        shift = 2 * (height - level)
-        sigma = sigmas[level]
-        for wid in reversed(tree.words.order):
-            totals: dict[int, int] = {}
-            for cell, count in tree.header.cells_of(wid).items():
-                anc = cell >> shift
-                totals[anc] = totals.get(anc, 0) + count
-            buckets: dict[int, list[tuple[SpatialNode, int]]] = {}
-            for node in tree.nodes_of(wid):
-                per_anc: dict[int, int] = {}
-                for cell, count in node.cells.items():
-                    anc = cell >> shift
-                    per_anc[anc] = per_anc.get(anc, 0) + count
-                for anc, weight in per_anc.items():
-                    buckets.setdefault(anc, []).append((node, weight))
-            for anc in sorted(totals):
-                total = totals[anc]
+    for wid in reversed(tree.words.order):
+        # Nodes right under the root have an empty prefix and add nothing
+        # to a conditional base.
+        paths: list[tuple[int, ...]] = []
+        entries: list[tuple[int, int, int]] = []
+        for node in tree.nodes_of(wid):
+            path = _prefix_path(node)
+            if path:
+                i = len(paths)
+                paths.append(path)
+                entries.extend([(cell, i, count) for cell, count in node.cells.items()])
+        entries.sort()
+        leaves = [e[0] for e in entries]
+        totals = tree.header.cells_of(wid)
+        for level in range(height, -1, -1):
+            if level < height:
+                folded: dict[int, int] = {}
+                for cell, count in totals.items():
+                    if cell >> 2 in folded:
+                        folded[cell >> 2] += count
+                    else:
+                        folded[cell >> 2] = count
+                totals = folded
+            shift = 2 * (height - level)
+            sigma = sigmas[level]
+            for anc, total in totals.items():
                 if total < sigma:
                     continue
                 gid = Gid(level, anc)
                 out.append(SpatialPattern(frozenset((wid,)), gid, total))
-                paths = [(_prefix_path(node), weight)
-                         for node, weight in buckets.get(anc, ())]
-                cond = tree_from_weighted_paths(paths, rank, sigma)
+                lo = bisect_left(leaves, anc << shift)
+                hi = bisect_left(leaves, (anc + 1) << shift, lo)
+                weights: dict[int, int] = {}
+                for _, i, count in entries[lo:hi]:
+                    if i in weights:
+                        weights[i] += count
+                    else:
+                        weights[i] = count
+                cond = tree_from_weighted_paths(
+                    [(paths[i], weight) for i, weight in weights.items()], sigma)
                 if cond:
                     for itemset, count in fp_growth(cond, sigma).items():
                         out.append(SpatialPattern(itemset | {wid}, gid, count))

@@ -2,81 +2,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EXPENSIVE, DINING_EXPECTED, DINING_TRANSACTIONS, powerset_counts
-from spatialfp.errors import OrderViolation, UnknownWord
-from spatialfp.fptree import (
-    FpTree,
-    build_fp_tree,
-    conditional_tree,
-    fp_growth,
-    insert_path,
-    tree_from_weighted_paths,
+from helpers import (
+    DINING_EXPECTED,
+    DINING_TRANSACTIONS,
+    EXPENSIVE,
+    ITALIAN,
+    PIZZA,
+    RESTAURANT,
+    powerset_counts,
 )
-
-PIZZA = 4
+from spatialfp.fptree import build_fp_tree, fp_growth, tree_from_weighted_paths
 
 
 def test_growth_on_the_five_transaction_example():
-    tree = build_fp_tree(DINING_TRANSACTIONS, 2)
-    assert fp_growth(tree, 2) == DINING_EXPECTED
+    base = build_fp_tree(DINING_TRANSACTIONS, 2)
+    assert fp_growth(base, 2) == DINING_EXPECTED
 
 
 def test_header_order_is_total_desc_then_wid():
-    tree = build_fp_tree(DINING_TRANSACTIONS, 2)
-    assert tree.header_entries() == [(0, 4), (2, 4), (1, 3), (4, 2)]
+    # Totals: expensive 4, restaurant 4, italian 3, pizza 2, coffee 1;
+    # coffee is dropped and the tie on 4 goes to the lower word id.
+    base = build_fp_tree(DINING_TRANSACTIONS, 2)
+    assert base == {
+        (EXPENSIVE, RESTAURANT, ITALIAN): 1,
+        (EXPENSIVE, RESTAURANT): 1,
+        (EXPENSIVE, ITALIAN, PIZZA): 1,
+        (EXPENSIVE, RESTAURANT, PIZZA): 1,
+        (RESTAURANT, ITALIAN): 1,
+    }
 
 
 def test_conditional_tree_prunes_below_minsup():
-    tree = build_fp_tree(DINING_TRANSACTIONS, 2)
-    cond = conditional_tree(tree, PIZZA, 2)
+    base = build_fp_tree(DINING_TRANSACTIONS, 2)
+    prefixes = [(path[:path.index(PIZZA)], weight)
+                for path, weight in base.items() if PIZZA in path]
     # pizza's prefix paths are [expensive, italian] and [expensive,
     # restaurant], each weight 1; only expensive reaches 2.
-    assert cond.header_entries() == [(EXPENSIVE, 2)]
+    assert sorted(prefixes) == [((EXPENSIVE, ITALIAN), 1), ((EXPENSIVE, RESTAURANT), 1)]
+    cond = tree_from_weighted_paths(prefixes, 2)
+    assert cond == {(EXPENSIVE,): 2}
     assert fp_growth(cond, 2) == {frozenset({EXPENSIVE}): 2}
 
 
-def test_conditional_tree_unknown_word():
-    tree = build_fp_tree(DINING_TRANSACTIONS, 2)
-    with pytest.raises(UnknownWord):
-        conditional_tree(tree, 99)
-
-
-def test_insert_path_rejects_wrong_order():
-    tree = FpTree({10: 0, 11: 1})
-    with pytest.raises(OrderViolation):
-        insert_path(tree, [11, 10])
-    with pytest.raises(OrderViolation):
-        insert_path(tree, [10, 10])
-    with pytest.raises(OrderViolation):
-        insert_path(tree, [99])
-
-
-def test_insert_path_rejects_nonpositive_count():
-    tree = FpTree({0: 0})
-    with pytest.raises(ValueError):
-        insert_path(tree, [0], 0)
-
-
 def test_shared_prefixes_collapse():
-    tree = FpTree({0: 0, 1: 1, 2: 2})
-    insert_path(tree, [0, 1])
-    insert_path(tree, [0, 2])
-    insert_path(tree, [0, 1, 2])
-    assert len(tree.root.children) == 1
-    top = tree.root.children[0]
-    assert top.count == 3
-    assert set(top.children) == {1, 2}
+    base = tree_from_weighted_paths([((0, 1), 1), ((0, 2), 1), ((0, 1), 2)], 1)
+    assert base == {(0, 1): 3, (0, 2): 1}
 
 
 def test_weighted_paths_drop_everything_below_minsup():
-    tree = tree_from_weighted_paths([([0], 1)], {0: 0}, 2)
-    assert not tree
-    assert fp_growth(tree, 2) == {}
+    base = tree_from_weighted_paths([((0,), 1)], 2)
+    assert not base
+    assert fp_growth(base, 2) == {}
+
+
+def test_insert_path_rejects_nonpositive_count():
+    with pytest.raises(ValueError):
+        tree_from_weighted_paths([((0,), 0)], 1)
 
 
 def test_fp_growth_rejects_bad_minsup():
     with pytest.raises(ValueError):
-        fp_growth(FpTree({}), 0)
+        fp_growth({}, 0)
 
 
 transactions = st.lists(
@@ -87,8 +73,8 @@ transactions = st.lists(
 @given(transactions, st.integers(min_value=1, max_value=4))
 @settings(max_examples=80, deadline=None)
 def test_growth_matches_powerset_counting(txs, sigma):
-    tree = build_fp_tree(txs, sigma)
-    assert fp_growth(tree, sigma) == powerset_counts(txs, sigma)
+    base = build_fp_tree(txs, sigma)
+    assert fp_growth(base, sigma) == powerset_counts(txs, sigma)
 
 
 @given(transactions)

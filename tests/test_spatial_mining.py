@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    FUZZ_BBOX,
     A,
     B,
     REF_GRID,
@@ -13,9 +14,11 @@ from helpers import (
     fuzz_instance,
     reference_records,
 )
+from spatialfp import engine
+from spatialfp.datagen import GenConfig, generate
 from spatialfp.errors import UnknownEntry
 from spatialfp.fptree import fp_growth
-from spatialfp.grid import ROOT, Gid
+from spatialfp.grid import ROOT, Gid, Grid
 from spatialfp.oracle import compare, reference_patterns
 from spatialfp.spatial_mining import (
     SpatialPattern,
@@ -63,13 +66,13 @@ def test_reverse_entries_walk_the_order_backwards(ref_tree):
 def test_cell_conditional_tree_examples(ref_tree):
     # b conditioned on the lower-left cell: one prefix path [a] weight 2.
     cond = cell_conditional_tree(ref_tree, B, Gid(1, 0b00), 2)
-    assert cond.header_entries() == [(A, 2)]
+    assert cond == {(A,): 2}
     assert fp_growth(cond, 2) == {frozenset({A}): 2}
 
     # At the root, b's second node contributes an empty prefix; a still
     # reaches the threshold only through the deep node.
     cond_root = cell_conditional_tree(ref_tree, B, ROOT, 2)
-    assert cond_root.header_entries() == [(A, 2)]
+    assert cond_root == {(A,): 2}
 
     # b in the lower-right cell: count 1 there, nothing survives sigma 2.
     assert not cell_conditional_tree(ref_tree, B, Gid(1, 0b01), 2)
@@ -124,12 +127,49 @@ def _composed_mine(tree, sigmas):
     return found
 
 
+# Per-level sigma lists, root first, whose smallest value is ``sigma``.
+SIGMA_SHAPES = {
+    "uniform": lambda height, sigma: [sigma] * (height + 1),
+    "increasing": lambda height, sigma: [sigma + k for k in range(height + 1)],
+    "decreasing": lambda height, sigma: [sigma + height - k for k in range(height + 1)],
+    "mixed": lambda height, sigma: [sigma + (1, 0, 3, 0)[k] for k in range(height + 1)],
+}
+
+
 @pytest.mark.parametrize("seed", [0, 5, 11, 23, 42])
 def test_fused_mining_equals_composed_mining(seed):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
-    sigmas = [sigma] * (grid.height + 1)
+    sigmas = SIGMA_SHAPES["uniform"](grid.height, sigma)
     assert patterns_to_dict(mine_tree(tree, sigmas)) == _composed_mine(tree, sigmas)
+
+
+@pytest.mark.parametrize("shape", sorted(set(SIGMA_SHAPES) - {"uniform"}))
+@pytest.mark.parametrize("seed", [0, 5, 11, 23, 42])
+def test_fused_mining_equals_composed_mining_per_level_sigmas(seed, shape):
+    records, grid, sigma = fuzz_instance(seed)
+    tree = build_tree(records, sigma, grid)
+    sigmas = SIGMA_SHAPES[shape](grid.height, sigma)
+    assert patterns_to_dict(mine_tree(tree, sigmas)) == _composed_mine(tree, sigmas)
+
+
+@pytest.mark.parametrize("shape", sorted(SIGMA_SHAPES))
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+def test_per_level_sigmas_match_the_brute_force_reference(height, shape):
+    grid = Grid(FUZZ_BBOX, height)
+    records = generate(GenConfig(
+        n_records=600, vocab_size=20, zipf_exponent=0.8,
+        words_per_record_mean=5.0, seed=60 + height), grid)
+    sigmas = SIGMA_SHAPES[shape](height, 2)
+    reference = reference_patterns(records, grid, sigmas)
+    # Every level holds multi-word patterns, so each level's sigma is used.
+    assert {level for words, level, _ in reference if len(words) > 1} \
+        == set(range(height + 1))
+    tree = build_tree(records, min(sigmas), grid)
+    assert compare(patterns_to_dict(mine_tree(tree, sigmas)), reference).ok
+    for backend in engine.available_backends():
+        patterns, _ = engine.mine(records, sigmas, grid, backend=backend)
+        assert compare(patterns_to_dict(patterns), reference).ok, backend
 
 
 @pytest.mark.parametrize("seed", [1, 8, 19, 33])

@@ -102,6 +102,8 @@ def test_insert_record_rejects_unsorted_and_unknown():
     with pytest.raises(OrderViolation):
         insert_record(tree, [B, A], 0)
     with pytest.raises(OrderViolation):
+        insert_record(tree, [A, A], 0)
+    with pytest.raises(OrderViolation):
         insert_record(tree, [C], 0)
 
 
