@@ -116,6 +116,7 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
         tree = SpatialTree(words, header, grid.height)
         for wids, leaf in sorted_records(cols, words):
             insert_record(tree, wids, leaf)
+        tree.finalize()
         t2 = time.perf_counter()
         patterns = mine_tree(tree, sigmas)
         t3 = time.perf_counter()

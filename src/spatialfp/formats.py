@@ -119,23 +119,21 @@ def write_corpus(path: str, records: Iterable[GeoRecord],
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def render_words(words: frozenset[int], table: WordTable,
-                 vocab: Vocabulary) -> list[str]:
-    """Word strings in canonical order: descending global frequency, then id."""
-    return [vocab.word(w) for w in sorted(words, key=table.rank.__getitem__)]
-
-
 def write_patterns(path: str, patterns: Sequence[SpatialPattern],
                    table: WordTable, vocab: Vocabulary) -> None:
+    """One JSON object per pattern, as ``json.dumps(..., ensure_ascii=False)``
+    writes it, with the words in canonical order: descending global
+    frequency, then id. Each word's JSON string is rendered once."""
+    rank = table.rank
+    frags = [json.dumps(vocab.word(w), ensure_ascii=False) for w in table.order]
+    gid = None
     with open(path, "w", encoding="utf-8") as fh:
         for p in patterns:
-            obj = {
-                "words": render_words(p.words, table, vocab),
-                "gid": gid_str(p.gid),
-                "level": p.gid.level,
-                "count": p.count,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            if p.gid != gid:
+                gid = p.gid
+                cell = f'"gid": "{gid_str(gid)}", "level": {gid.level}'
+            words = ", ".join([frags[r] for r in sorted([rank[w] for w in p.words])])
+            fh.write(f'{{"words": [{words}], {cell}, "count": {p.count}}}\n')
 
 
 def read_patterns(path: str) -> list[dict]:

@@ -11,12 +11,13 @@ exact per-cell support.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UnknownEntry
 from .fptree import Base, fp_growth, tree_from_weighted_paths
 from .grid import Gid
-from .spatial_tree import CellTable, SpatialNode, SpatialTree, WordTable
+from .spatial_tree import CellTable, SpatialTree, WordTable
 
 
 class SpatialPattern(NamedTuple):
@@ -66,12 +67,14 @@ def reverse_entries(table: dict[tuple[int, int], int],
                   key=lambda e: (-rank[e[0]], e[1]))
 
 
-def _prefix_path(node: SpatialNode) -> tuple[int, ...]:
+def _prefix_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
+    """The words above ``node``, root end first."""
+    wid_of, parent_of = tree.wid_of, tree.parent_of
     path: list[int] = []
-    up = node.parent
-    while up is not None and up.wid != -1:
-        path.append(up.wid)
-        up = up.parent
+    up = parent_of[node]
+    while up:
+        path.append(wid_of[up])
+        up = parent_of[up]
     path.reverse()
     return tuple(path)
 
@@ -87,14 +90,15 @@ def cell_conditional_tree(tree: SpatialTree, wid: int, gid: Gid,
     if wid not in tree.words:
         raise UnknownEntry(f"word {wid} is not retained in this tree")
     shift = 2 * (tree.height - gid.level)
+    start, leaves, counts = tree.cell_start, tree.cell_leaf, tree.cell_count
     paths: list[tuple[tuple[int, ...], int]] = []
     for node in tree.nodes_of(wid):
         weight = 0
-        for cell, count in node.cells.items():
-            if cell >> shift == gid.code:
-                weight += count
+        for j in range(start[node], start[node + 1]):
+            if leaves[j] >> shift == gid.code:
+                weight += counts[j]
         if weight:
-            paths.append((_prefix_path(node), weight))
+            paths.append((_prefix_path(tree, node), weight))
     return tree_from_weighted_paths(paths, sigma)
 
 
@@ -110,6 +114,9 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[SpatialPattern]:
     height = tree.height
     if len(sigmas) != height + 1:
         raise ValueError(f"need {height + 1} per-level sigmas, got {len(sigmas)}")
+    if not tree.finalized:
+        raise RuntimeError("the tree is read only after finalize()")
+    start, cell_leaf, cell_count = tree.cell_start, tree.cell_leaf, tree.cell_count
     out: list[SpatialPattern] = []
     for wid in reversed(tree.words.order):
         # Nodes right under the root have an empty prefix and add nothing
@@ -117,11 +124,12 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[SpatialPattern]:
         paths: list[tuple[int, ...]] = []
         entries: list[tuple[int, int, int]] = []
         for node in tree.nodes_of(wid):
-            path = _prefix_path(node)
+            path = _prefix_path(tree, node)
             if path:
                 i = len(paths)
                 paths.append(path)
-                entries.extend([(cell, i, count) for cell, count in node.cells.items()])
+                lo, hi = start[node], start[node + 1]
+                entries.extend(zip(cell_leaf[lo:hi], repeat(i), cell_count[lo:hi]))
         entries.sort()
         leaves = [e[0] for e in entries]
         totals = tree.header.cells_of(wid)

@@ -2,21 +2,24 @@
 
 Pass one reads each record once: it counts every word globally and per
 leaf cell and keeps the in-box records as compact columns. Words whose
-global count falls below sigma are dropped for good. Pass two walks the
-columns and inserts each record's surviving words, sorted by global
-frequency, into a prefix tree whose nodes carry per-leaf-cell counts.
-The per-(word, cell) header holds the pass-one counts, and ``nodes_of``
-lists the tree nodes holding each word.
+global count falls below sigma are dropped for good. Pass two sorts the
+records' surviving words by global frequency and the records by those
+rank tuples, then appends each record to the tree past its common prefix
+with the one before. The tree is a set of flat arrays (node word, node
+parent, and per-node leaf-cell counts in CSR form), so it holds no
+object per node. The per-(word, cell) header holds the pass-one counts,
+and ``nodes_of`` lists the tree nodes holding each word.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .errors import OrderViolation, PointOutOfBounds
-from .grid import Gid, Grid, encode, gid_str
+from .grid import Grid, encode
 from .text import GeoRecord
 
 
@@ -99,27 +102,65 @@ class Columns:
         self.leaves.append(leaf)
 
 
-class SpatialNode:
-    __slots__ = ("wid", "parent", "children", "cells")
-
-    def __init__(self, wid: int, parent: "SpatialNode | None"):
-        self.wid = wid
-        self.parent = parent
-        self.children: dict[int, SpatialNode] = {}
-        self.cells: dict[int, int] = {}  # leaf cell code -> count
-
-
 class SpatialTree:
+    """The cell-annotated prefix tree as flat arrays.
+
+    Node 0 is the root. Node ``n`` holds word ``wid_of[n]`` under node
+    ``parent_of[n]``; its leaf-cell counts are
+    ``cell_leaf[cell_start[n]:cell_start[n + 1]]`` with ``cell_count``
+    alongside, in ascending leaf order. Records must arrive in ascending
+    order of their rank tuples (see ``sorted_records``), so that nodes
+    are numbered in depth-first order and siblings in rank order. Until
+    ``finalize`` the cell counts are a log of (node, leaf) events, one per
+    node on each record's path, and every reader raises.
+    """
+
     def __init__(self, words: WordTable, header: CellTable, height: int):
         self.words = words
         self.header = header
         self.height = height
-        self.root = SpatialNode(-1, None)
-        self._nodes_by_word: dict[int, list[SpatialNode]] = {}
+        self.wid_of = array("q", [-1])
+        self.parent_of = array("q", [0])
+        self.cell_start = array("q")
+        self.cell_leaf = array("q")
+        self.cell_count = array("q")
+        self.finalized = False
+        self._event_node = array("q")
+        self._event_leaf = array("q")
+        self._last: list[int] = []  # ranks of the last record inserted
+        self._path: list[int] = []  # its nodes, root excluded
+        self._nodes_by_word: dict[int, array] = {}
 
-    def nodes_of(self, wid: int) -> list[SpatialNode]:
-        """Every tree node holding ``wid``, in creation order."""
-        return self._nodes_by_word.get(wid, [])
+    def finalize(self) -> None:
+        """Sort the event log once into the per-node cell arrays."""
+        if self.finalized:
+            return
+        # One int per event, ordered by node then leaf. Python ints, as
+        # node << 2 * height overflows 64 bits on deep grids.
+        shift = 2 * self.height
+        mask = (1 << shift) - 1
+        events = sorted([node << shift | leaf for node, leaf
+                         in zip(self._event_node, self._event_leaf)])
+        sizes = array("q", bytes(8 * (len(self.wid_of) + 1)))
+        leaves, counts = self.cell_leaf, self.cell_count
+        last = -1
+        for event in events:
+            if event == last:
+                counts[-1] += 1
+                continue
+            last = event
+            leaves.append(event & mask)
+            counts.append(1)
+            sizes[(event >> shift) + 1] += 1
+        self.cell_start = array("q", accumulate(sizes))
+        self._event_node = self._event_leaf = array("q")
+        self.finalized = True
+
+    def nodes_of(self, wid: int) -> array:
+        """Every tree node holding ``wid``, in ascending node order."""
+        if not self.finalized:
+            raise RuntimeError("the tree is read only after finalize()")
+        return self._nodes_by_word.get(wid, array("q"))
 
 
 def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
@@ -154,34 +195,39 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
     return words, header, cols
 
 
-def filter_sort(wordset: Iterable[int], words: WordTable) -> list[int]:
-    """Drop unretained words and sort the rest by the global order."""
-    rank = words.rank
-    return sorted([w for w in wordset if w in rank], key=rank.__getitem__)
-
-
 def sorted_records(cols: Columns, words: WordTable) -> Iterator[tuple[list[int], int]]:
     """Pass two: each record's retained words in global order, with its leaf.
 
-    Records left with no retained word are skipped.
+    Records come in ascending order of their tuples of word ranks; those
+    left with no retained word are skipped.
     """
-    wids = cols.wids
+    rank, order, wids = words.rank, words.order, cols.wids
+    keyed = []
     start = 0
     for end, leaf in zip(cols.offsets[1:], cols.leaves):
-        kept = filter_sort(wids[start:end], words)
+        # Tuples of ints drop out of the cyclic collector's bookkeeping.
+        ranks = tuple(sorted([rank[w] for w in wids[start:end] if w in rank]))
         start = end
-        if kept:
-            yield kept, leaf
+        if ranks:
+            keyed.append((ranks, leaf))
+    keyed.sort()
+    for ranks, leaf in keyed:
+        yield [order[r] for r in ranks], leaf
 
 
 def insert_record(tree: SpatialTree, sorted_wids: list[int], cell: int) -> None:
     """Second-pass insertion of one record's surviving words.
 
-    Walks or extends the prefix path and bumps the touched nodes'
-    counts for ``cell``.
+    Reuses the previous record's path up to their common prefix, appends
+    nodes for the rest and logs one event per node on the path. Records
+    must come in ``sorted_records`` order; equal records may repeat.
     """
+    if tree.finalized:
+        raise RuntimeError("cannot insert after finalize()")
+    if not 0 <= cell < 1 << 2 * tree.height:
+        raise ValueError(f"leaf cell {cell} outside a height-{tree.height} grid")
     rank = tree.words.rank
-    node = tree.root
+    ranks: list[int] = []
     prev_rank = -1
     for wid in sorted_wids:
         r = rank.get(wid)
@@ -189,17 +235,35 @@ def insert_record(tree: SpatialTree, sorted_wids: list[int], cell: int) -> None:
             raise OrderViolation(f"word {wid} is not retained in this tree")
         if r <= prev_rank:
             raise OrderViolation("words not sorted by the tree's global order")
+        ranks.append(r)
         prev_rank = r
-        child = node.children.get(wid)
-        if child is None:
-            child = SpatialNode(wid, node)
-            node.children[wid] = child
-            tree._nodes_by_word.setdefault(wid, []).append(child)
-            child.cells[cell] = 1
+    if not ranks:
+        return
+    last, path = tree._last, tree._path
+    if ranks < last:
+        raise OrderViolation("record sorts before the one inserted last")
+    k = 0
+    for r, prev in zip(ranks, last):
+        if r != prev:
+            break
+        k += 1
+    del path[k:]
+    wid_of, parent_of, by_word = tree.wid_of, tree.parent_of, tree._nodes_by_word
+    parent = path[-1] if path else 0
+    for wid in sorted_wids[k:]:
+        node = len(wid_of)
+        wid_of.append(wid)
+        parent_of.append(parent)
+        path.append(node)
+        parent = node
+        nodes = by_word.get(wid)
+        if nodes is None:
+            by_word[wid] = array("q", [node])
         else:
-            cells = child.cells
-            cells[cell] = cells.get(cell, 0) + 1
-        node = child
+            nodes.append(node)
+    tree._last = ranks
+    tree._event_node.extend(path)
+    tree._event_leaf.extend(repeat(cell, len(path)))
 
 
 def build_tree(source: Iterable[GeoRecord], sigma: int, grid: Grid,
@@ -209,37 +273,5 @@ def build_tree(source: Iterable[GeoRecord], sigma: int, grid: Grid,
     tree = SpatialTree(words, header, grid.height)
     for wids, leaf in sorted_records(cols, words):
         insert_record(tree, wids, leaf)
+    tree.finalize()
     return tree
-
-
-def dump(tree: SpatialTree, name_of=None) -> str:
-    """Indented debug rendering: one node per line, "word [cell:count, ...]"."""
-    if name_of is None:
-        name_of = str
-    lines = ["(root)"]
-
-    def walk(node: SpatialNode, depth: int) -> None:
-        rank = tree.words.rank
-        for child in sorted(node.children.values(), key=lambda n: rank[n.wid]):
-            cells = ", ".join(
-                f"{gid_str(Gid(tree.height, code))}:{child.cells[code]}"
-                for code in sorted(child.cells))
-            lines.append(f"{'  ' * depth}{name_of(child.wid)} [{cells}]")
-            walk(child, depth + 1)
-
-    walk(tree.root, 1)
-    return "\n".join(lines)
-
-
-def tree_equal(a: SpatialTree, b: SpatialTree) -> bool:
-    """Structural equality: same shape, same per-node cell counts."""
-
-    def node_eq(x: SpatialNode, y: SpatialNode) -> bool:
-        if x.wid != y.wid or x.cells != y.cells:
-            return False
-        if x.children.keys() != y.children.keys():
-            return False
-        return all(node_eq(x.children[w], y.children[w]) for w in x.children)
-
-    return a.height == b.height and a.words.counts == b.words.counts \
-        and node_eq(a.root, b.root)

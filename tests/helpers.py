@@ -8,7 +8,7 @@ import sys
 from itertools import combinations
 
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
-from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode
+from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
 from spatialfp.spatial_mining import patterns_to_dict
 from spatialfp.spatial_tree import SpatialTree, build_tree
 from spatialfp.text import GeoRecord
@@ -121,6 +121,60 @@ def fuzz_instance(seed: int):
 # --- structural invariant checks --------------------------------------------
 
 
+def node_cells(tree: SpatialTree, node: int) -> dict[int, int]:
+    """One node's leaf-cell counts as a dict."""
+    lo, hi = tree.cell_start[node], tree.cell_start[node + 1]
+    return dict(zip(tree.cell_leaf[lo:hi], tree.cell_count[lo:hi]))
+
+
+def node_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
+    """The words from the root down to ``node``, its own word last."""
+    path = []
+    while node:
+        path.append(tree.wid_of[node])
+        node = tree.parent_of[node]
+    return tuple(reversed(path))
+
+
+def children(tree: SpatialTree) -> dict[int, list[int]]:
+    """Each node's children, in ascending node order, which is rank order."""
+    out: dict[int, list[int]] = {n: [] for n in range(len(tree.wid_of))}
+    for node in range(1, len(tree.wid_of)):
+        out[tree.parent_of[node]].append(node)
+    return out
+
+
+def dump(tree: SpatialTree, name_of=None) -> str:
+    """Indented debug rendering: one node per line, "word [cell:count, ...]"."""
+    if name_of is None:
+        name_of = str
+    kids = children(tree)
+    lines = ["(root)"]
+
+    def walk(node: int, depth: int) -> None:
+        for child in kids[node]:
+            cells = node_cells(tree, child)
+            text = ", ".join(f"{gid_str(Gid(tree.height, code))}:{cells[code]}"
+                             for code in sorted(cells))
+            lines.append(f"{'  ' * depth}{name_of(tree.wid_of[child])} [{text}]")
+            walk(child, depth + 1)
+
+    walk(0, 1)
+    return "\n".join(lines)
+
+
+def tree_equal(a: SpatialTree, b: SpatialTree) -> bool:
+    """Structural equality: same shape, same per-node cell counts.
+
+    Nodes are numbered in depth-first order of the sorted records, so
+    equal trees have equal arrays.
+    """
+    return (a.height == b.height and a.words.counts == b.words.counts
+            and a.wid_of == b.wid_of and a.parent_of == b.parent_of
+            and a.cell_start == b.cell_start and a.cell_leaf == b.cell_leaf
+            and a.cell_count == b.cell_count)
+
+
 def check_mass_conservation(tree: SpatialTree, records, grid: Grid) -> None:
     """Summed node counts per word equal its in-box record occurrences."""
     from spatialfp.errors import PointOutOfBounds
@@ -134,7 +188,7 @@ def check_mass_conservation(tree: SpatialTree, records, grid: Grid) -> None:
         for w in rec.words:
             expected[w] = expected.get(w, 0) + 1
     for wid in tree.words.order:
-        total = sum(sum(n.cells.values()) for n in tree.nodes_of(wid))
+        total = sum(sum(node_cells(tree, n).values()) for n in tree.nodes_of(wid))
         assert total == expected.get(wid, 0) == tree.words.counts[wid], wid
 
 
@@ -142,14 +196,14 @@ def check_header_consistency(tree: SpatialTree) -> None:
     """Each (word, cell) header count equals that cell's count summed over
     the word's nodes, and the nodes of a word are distinct and hold it."""
     for wid, cell, count in tree.header.items():
-        node_sum = sum(n.cells.get(cell, 0) for n in tree.nodes_of(wid))
+        node_sum = sum(node_cells(tree, n).get(cell, 0) for n in tree.nodes_of(wid))
         assert node_sum == count, (wid, cell)
     node_pairs = set()
     for wid in tree.words.order:
         nodes = tree.nodes_of(wid)
-        assert len(nodes) == len(set(map(id, nodes))), wid
-        assert all(n.wid == wid for n in nodes), wid
-        node_pairs.update((wid, cell) for n in nodes for cell in n.cells)
+        assert len(nodes) == len(set(nodes)), wid
+        assert all(tree.wid_of[n] == wid for n in nodes), wid
+        node_pairs.update((wid, cell) for n in nodes for cell in node_cells(tree, n))
     assert node_pairs == {(wid, cell) for wid, cell, _ in tree.header.items()}
 
 
@@ -158,12 +212,13 @@ def check_prefix_order(tree: SpatialTree) -> None:
     rank = tree.words.rank
 
     def walk(node, prev):
-        for child in node.children.values():
-            r = rank[child.wid]
-            assert r > prev, child.wid
+        for child in kids[node]:
+            r = rank[tree.wid_of[child]]
+            assert r > prev, tree.wid_of[child]
             walk(child, r)
 
-    walk(tree.root, -1)
+    kids = children(tree)
+    walk(0, -1)
 
 
 def check_upward_closure(found: dict, height: int) -> None:

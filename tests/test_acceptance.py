@@ -36,6 +36,7 @@ from helpers import (
     reference_records,
     run_cli,
     summary_fields,
+    tree_equal,
 )
 from spatialfp import engine, oracle
 from spatialfp.datagen import GenConfig, PlantedPattern, generate, word_name
@@ -43,7 +44,7 @@ from spatialfp.formats import write_corpus
 from spatialfp.fptree import build_fp_tree, fp_growth
 from spatialfp.grid import BoundingBox, Gid, Grid, ancestor_at, gid_str
 from spatialfp.spatial_mining import mine_tree, patterns_to_dict
-from spatialfp.spatial_tree import build_tree, tree_equal
+from spatialfp.spatial_tree import build_tree
 
 # Synthetic corpus shape for the timing criteria, fixed after measuring
 # both backends: Zipf weights flat enough that the retained vocabulary

@@ -8,12 +8,12 @@ from spatialfp.formats import (
     MalformedRecord,
     parse_record_line,
     read_patterns,
-    render_words,
     write_corpus,
     write_patterns,
 )
-from spatialfp.spatial_mining import mine_tree
-from spatialfp.spatial_tree import build_tree
+from spatialfp.grid import Gid, gid_str
+from spatialfp.spatial_mining import SpatialPattern, mine_tree
+from spatialfp.spatial_tree import WordTable, build_tree
 from spatialfp.text import Vocabulary
 
 NO_STOP = frozenset()
@@ -150,10 +150,32 @@ def test_pattern_file_roundtrip(tmp_path):
             json.loads(line)  # one object per line, no trailing junk
 
 
-def test_render_words_uses_global_order():
+def test_render_words_uses_global_order(tmp_path):
     vocab = Vocabulary()
     for w in ["rare", "common"]:
         vocab.intern(w)
     tree = build_tree(reference_records(), 2, REF_GRID)
     # wid 0 ranks before wid 1 here; renaming must not change that.
-    assert render_words(frozenset({0, 1}), tree.words, vocab) == ["rare", "common"]
+    path = tmp_path / "patterns.jsonl"
+    write_patterns(str(path), [SpatialPattern(frozenset({0, 1}), Gid(0, 0), 2)],
+                   tree.words, vocab)
+    assert read_patterns(str(path))[0]["words"] == ["rare", "common"]
+
+
+def test_pattern_lines_are_json_dumps_of_each_pattern(tmp_path):
+    vocab = Vocabulary()
+    names = ['quo"te', "back\\slash", "café", "tab\there", "ctrl\x01", "日本"]
+    for w in names:
+        vocab.intern(w)
+    table = WordTable({0: 9, 1: 8, 2: 7, 3: 6, 4: 5, 5: 9})
+    patterns = [SpatialPattern(frozenset({2, 5, 0}), Gid(2, 0b0110), 12),
+                SpatialPattern(frozenset({1, 3}), Gid(2, 0b0110), 7),
+                SpatialPattern(frozenset({4}), Gid(0, 0), 5)]
+    path = tmp_path / "patterns.jsonl"
+    write_patterns(str(path), patterns, table, vocab)
+    want = "".join(
+        json.dumps({"words": [names[w] for w in sorted(p.words, key=table.rank.__getitem__)],
+                    "gid": gid_str(p.gid), "level": p.gid.level, "count": p.count},
+                   ensure_ascii=False) + "\n"
+        for p in patterns)
+    assert path.read_text(encoding="utf-8") == want

@@ -1,28 +1,39 @@
+import gc
+import random
+import tracemalloc
+
 import pytest
 
 from helpers import (
     A,
     B,
     C,
+    FUZZ_BBOX,
     REF_GRID,
     check_header_consistency,
     check_mass_conservation,
     check_prefix_order,
+    dump,
     fuzz_instance,
+    node_cells,
+    node_path,
     reference_records,
+    tree_equal,
 )
-from spatialfp.errors import OrderViolation
-from spatialfp.grid import GeoPoint
+from spatialfp.errors import OrderViolation, PointOutOfBounds
+from spatialfp.grid import MAX_HEIGHT, BoundingBox, GeoPoint, Gid, Grid, encode
+from spatialfp.oracle import reference_patterns
+from spatialfp.spatial_mining import cell_conditional_tree, mine_tree, patterns_to_dict
 from spatialfp.spatial_tree import (
     CellTable,
+    Columns,
     ScanStats,
+    SpatialTree,
     WordTable,
     build_tree,
-    dump,
-    filter_sort,
     insert_record,
     scan_counts,
-    tree_equal,
+    sorted_records,
 )
 from spatialfp.text import GeoRecord
 
@@ -71,8 +82,16 @@ def test_word_order_breaks_ties_by_ascending_id():
 
 
 def test_filter_sort():
+    # Pass two drops unretained words, sorts each record's words by the
+    # global order and the records by their tuples of word ranks.
     words = WordTable({10: 4, 11: 9, 12: 2})
-    assert filter_sort({12, 99, 10, 11}, words) == [11, 10, 12]
+    cols = Columns()
+    cols.append([12, 99, 10, 11], 0b01)
+    cols.append([99], 0b10)  # nothing retained: skipped
+    cols.append([10], 0b11)
+    cols.append([11], 0b00)
+    assert list(sorted_records(cols, words)) == [
+        ([11], 0b00), ([11, 10, 12], 0b01), ([10], 0b11)]
 
 
 def test_build_tree_structure():
@@ -84,27 +103,80 @@ def test_build_tree_structure():
         "  a [00:2, 01:1]\n"
         "    b [00:2]\n"
         "  b [01:1]")
+    # Nodes in depth-first order of the sorted records: a, a -> b, b.
+    assert list(tree.wid_of) == [-1, A, B, B]
+    assert list(tree.parent_of) == [0, 0, 1, 0]
+    assert list(tree.cell_start) == [0, 0, 2, 3, 4]
+    assert list(tree.cell_leaf) == [0b00, 0b01, 0b00, 0b01]
+    assert list(tree.cell_count) == [2, 1, 2, 1]
 
 
 def test_nodes_of_lists_distinct_nodes_per_word():
     tree = build_tree(reference_records(), 2, REF_GRID)
     deep, shallow = tree.nodes_of(B)
-    assert deep.parent.wid == A and deep.cells == {0b00: 2}
-    assert shallow.parent.wid == -1 and shallow.cells == {0b01: 1}
-    assert deep is not shallow
+    assert tree.wid_of[tree.parent_of[deep]] == A
+    assert node_cells(tree, deep) == {0b00: 2}
+    assert tree.parent_of[shallow] == 0
+    assert node_cells(tree, shallow) == {0b01: 1}
+    assert deep != shallow
     (top,) = tree.nodes_of(A)
-    assert top.cells == {0b00: 2, 0b01: 1}
-    assert tree.nodes_of(C) == []
+    assert node_cells(tree, top) == {0b00: 2, 0b01: 1}
+    assert len(tree.nodes_of(C)) == 0
+
+
+def _empty_ref_tree() -> SpatialTree:
+    words, header, _ = scan_counts(reference_records(), 2, REF_GRID)
+    return SpatialTree(words, header, REF_GRID.height)
 
 
 def test_insert_record_rejects_unsorted_and_unknown():
-    tree = build_tree(reference_records(), 2, REF_GRID)
+    tree = _empty_ref_tree()
     with pytest.raises(OrderViolation):
         insert_record(tree, [B, A], 0)
     with pytest.raises(OrderViolation):
         insert_record(tree, [A, A], 0)
     with pytest.raises(OrderViolation):
         insert_record(tree, [C], 0)
+    with pytest.raises(ValueError):
+        insert_record(tree, [A], 4)  # no such leaf at height 1
+
+
+def test_insert_record_rejects_records_out_of_order():
+    tree = _empty_ref_tree()
+    insert_record(tree, [B], 0)
+    with pytest.raises(OrderViolation):
+        insert_record(tree, [A, B], 0)  # sorts before [B]
+    tree = _empty_ref_tree()
+    insert_record(tree, [A, B], 0)
+    with pytest.raises(OrderViolation):
+        insert_record(tree, [A], 0)  # a strict prefix after a longer record
+
+
+def test_insert_record_accepts_repeated_and_extended_records():
+    tree = _empty_ref_tree()
+    for wids, cell in [([A], 1), ([A, B], 0), ([A, B], 0), ([A, B], 1), ([B], 1)]:
+        insert_record(tree, wids, cell)
+    tree.finalize()
+    assert list(tree.wid_of) == [-1, A, B, B]
+    assert node_cells(tree, 1) == {0: 2, 1: 2}
+    assert node_cells(tree, 2) == {0: 2, 1: 1}
+    assert node_cells(tree, 3) == {1: 1}
+
+
+def test_unfinalized_tree_cannot_be_read_and_finalized_cannot_grow():
+    tree = _empty_ref_tree()
+    insert_record(tree, [A, B], 0)
+    with pytest.raises(RuntimeError):
+        tree.nodes_of(A)
+    with pytest.raises(RuntimeError):
+        mine_tree(tree, [2, 2])
+    with pytest.raises(RuntimeError):
+        cell_conditional_tree(tree, B, Gid(0, 0), 2)
+    with pytest.raises(RuntimeError):
+        mine_tree(_empty_ref_tree(), [2, 2])  # nothing inserted, still unread
+    tree.finalize()
+    with pytest.raises(RuntimeError):
+        insert_record(tree, [A, B], 0)
 
 
 def test_cell_table_prune_and_items():
@@ -146,3 +218,68 @@ def test_rebuild_determinism_on_fuzzed_instances(seed):
     records, grid, sigma = fuzz_instance(seed)
     assert tree_equal(build_tree(records, sigma, grid),
                       build_tree(records, sigma, grid))
+
+
+@pytest.mark.parametrize("seed", [5, 21, 33])
+def test_shuffled_records_give_identical_arrays(seed):
+    records, grid, sigma = fuzz_instance(seed)
+    shuffled = list(records)
+    random.Random(seed).shuffle(shuffled)
+    assert shuffled != records
+    assert tree_equal(build_tree(records, sigma, grid),
+                      build_tree(shuffled, sigma, grid))
+
+
+@pytest.mark.parametrize("seed", [4, 13, 40])
+def test_nodes_equal_brute_force_prefix_counts(seed):
+    records, grid, sigma = fuzz_instance(seed)
+    tree = build_tree(records, sigma, grid)
+    rank = tree.words.rank
+    want: dict[tuple[int, ...], dict[int, int]] = {}
+    for rec in records:
+        try:
+            leaf = encode(rec.point, grid).code
+        except PointOutOfBounds:
+            continue
+        kept = sorted((w for w in rec.words if w in rank), key=rank.__getitem__)
+        for j in range(1, len(kept) + 1):
+            cells = want.setdefault(tuple(kept[:j]), {})
+            cells[leaf] = cells.get(leaf, 0) + 1
+    got = {node_path(tree, n): node_cells(tree, n) for n in range(1, len(tree.wid_of))}
+    assert len(got) == len(tree.wid_of) - 1  # one node per distinct prefix
+    assert got == want
+
+
+def test_deepest_grid_builds_and_mines():
+    # Leaf codes take 62 bits at the deepest grid, so (node, leaf) events
+    # cannot share one 64-bit word there.
+    records, _, sigma = fuzz_instance(9)
+    grid = Grid(FUZZ_BBOX, MAX_HEIGHT)
+    tree = build_tree(records, sigma, grid)
+    assert len(tree.wid_of) > 100
+    check_mass_conservation(tree, records, grid)
+    check_header_consistency(tree)
+    check_prefix_order(tree)
+    sigmas = [sigma] * (MAX_HEIGHT + 1)
+    assert patterns_to_dict(mine_tree(tree, sigmas)) == reference_patterns(records, grid, sigmas)
+
+
+def test_tree_memory_per_node():
+    # The tree is flat arrays: well under the ~600 bytes a node that an
+    # object per node with two dicts costs.
+    rnd = random.Random(11).random
+    grid = Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), 5)
+    records = [GeoRecord(str(i), frozenset(int(5000 ** rnd()) for _ in range(1 + int(rnd() * 9))),
+                         GeoPoint(-10.0 + 20.0 * rnd(), -5.0 + 10.0 * rnd()))
+               for i in range(20_000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = build_tree(records, 4, grid)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = len(tree.wid_of) - 1
+    assert nodes > 50_000
+    assert retained / nodes <= 250
