@@ -186,12 +186,6 @@ def cmd_check(args) -> int:
 
     patterns, report = engine.mine(records, sigmas, grid, backend=args.backend)
     mined = patterns_to_dict(patterns)
-    if args.selftest_corrupt:
-        # Harness self-test: damage the mined output so the diff must fire.
-        if mined:
-            key = next(iter(mined))
-            mined[key] += 1
-        mined[(frozenset((2**30,)), 0, 0)] = 1
     reference = oracle.reference_patterns(records, grid, sigmas)
     report_diff = oracle.compare(mined, reference)
     print(f"mined patterns: {len(mined)}")
@@ -329,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="run even past the reference size limits")
     p.add_argument("--backend", default="auto", choices=["auto", "pure", "fast"])
-    p.add_argument("--selftest-corrupt", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="time the mining phases on synthetic data")

@@ -1,21 +1,18 @@
 """End-to-end mining pipeline with selectable backend.
 
-The compiled kernels are used when the extension built and the
-SPATIALFP_PURE_PYTHON environment variable is not set; the pure Python
-modules are the fallback and the reference. Both produce identical
-pattern lists, byte for byte after serialization.
+Both backends take the same rank tuples from pass two and emit the same
+raw tuples, which ``canonical`` sorts into patterns. The compiled kernel
+is the default when built; pure Python is the fallback and reference.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .grid import Gid, Grid
-from .spatial_mining import (SpatialPattern, expand_sigmas, mine_tree,
-                             sort_patterns)
+from .grid import Grid
+from .spatial_mining import SpatialPattern, canonical, expand_sigmas, mine_tree
 from .spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
                            scan_counts, sorted_records)
 from .text import GeoRecord
@@ -27,17 +24,13 @@ except ImportError:
     FastMiner = None
     HAVE_SPEEDUPS = False
 
-PURE_ENV = "SPATIALFP_PURE_PYTHON"
-
 
 def available_backends() -> tuple[str, ...]:
     return ("pure", "fast") if HAVE_SPEEDUPS else ("pure",)
 
 
 def default_backend() -> str:
-    if HAVE_SPEEDUPS and not os.environ.get(PURE_ENV):
-        return "fast"
-    return "pure"
+    return "fast" if HAVE_SPEEDUPS else "pure"
 
 
 def resolve_backend(name: str | None) -> str:
@@ -99,27 +92,20 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
 
     if chosen == "fast":
         miner = FastMiner(len(words), grid.height)
-        rank = words.rank
-        for wids, leaf in sorted_records(cols, words):
-            miner.insert([rank[w] for w in wids], leaf)
+        for ranks, leaf in sorted_records(cols, words):
+            miner.insert(ranks, leaf)
         miner.finalize()
         t2 = time.perf_counter()
         raw = miner.mine(sigmas)
-        order = words.order
-        patterns = [
-            SpatialPattern(frozenset(order[r] for r in ranks), Gid(level, code), count)
-            for ranks, level, code, count in raw
-        ]
-        patterns = sort_patterns(patterns, words)
-        t3 = time.perf_counter()
     else:
         tree = SpatialTree(words, header, grid.height)
-        for wids, leaf in sorted_records(cols, words):
-            insert_record(tree, wids, leaf)
+        for ranks, leaf in sorted_records(cols, words):
+            insert_record(tree, ranks, leaf)
         tree.finalize()
         t2 = time.perf_counter()
-        patterns = mine_tree(tree, sigmas)
-        t3 = time.perf_counter()
+        raw = mine_tree(tree, sigmas)
+    patterns = canonical(raw, words)
+    t3 = time.perf_counter()
 
     report.records = stats.records
     report.skipped = stats.skipped

@@ -25,9 +25,5 @@ class OrderViolation(SpatialFpError):
     """A word list handed to tree insertion was not in the tree's order."""
 
 
-class UnknownEntry(SpatialFpError):
-    """A (word, cell) pair that is not part of the structure being queried."""
-
-
 class ConfigInvalid(SpatialFpError):
     """Inconsistent or out-of-range configuration values."""

@@ -1,30 +1,29 @@
 """Frequent-pattern growth over conditional bases, with no tree nodes.
 
 A conditional base is a ``{path: weight}`` dict: each path is a tuple of
-word ids in one fixed order (the global order: descending frequency,
-ties ascending word id), words below the minimum support are dropped,
-and equal paths are merged by summing their weights. Merging equal
-paths is the prefix sharing an FP-tree gets from its nodes (Han, Pei &
-Yin, SIGMOD 2000), kept here as plain tuples in the style of H-Mine
-(Pei et al., ICDM 2001). Growth takes, for each word of a base, the
-prefixes in front of it as the word's own conditional base and
-recurses, which enumerates every itemset meeting the minimum support
-exactly once.
+items in one fixed order (the miner's items are word ranks, ascending),
+items below the minimum support are dropped, and equal paths are merged
+by summing their weights. Merging equal paths is the prefix sharing an
+FP-tree gets from its nodes (Han, Pei & Yin, SIGMOD 2000), kept here as
+plain tuples in the style of H-Mine (Pei et al., ICDM 2001). Growth
+takes, for each item of a base, the prefixes in front of it as the
+item's own conditional base and recurses, which enumerates every
+itemset meeting the minimum support exactly once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Base = dict[tuple[int, ...], int]
 
 
 def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
                              minsup: int) -> Base:
-    """The conditional base of (path, weight) pairs: words whose summed
+    """The conditional base of (path, weight) pairs: items whose summed
     weight misses ``minsup`` are dropped and equal paths merged.
 
-    Paths must all follow one order; dropping words preserves it. The
+    Paths must all follow one order; dropping items preserves it. The
     name predates bases. The benchmark's tracer counts conditional bases
     through it, so renaming it waits for in-program spans (ROADMAP
     item 1).
@@ -33,17 +32,17 @@ def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
     for path, weight in paths:
         if weight <= 0:
             raise ValueError(f"path weight must be positive, got {weight}")
-        for wid in path:
-            if wid in totals:
-                totals[wid] += weight
+        for item in path:
+            if item in totals:
+                totals[item] += weight
             else:
-                totals[wid] = weight
-    keep = {wid for wid, total in totals.items() if total >= minsup}
+                totals[item] = weight
+    keep = {item for item, total in totals.items() if total >= minsup}
     pruned = len(keep) < len(totals)
     base: Base = {}
     for path, weight in paths:
         if pruned:
-            path = tuple([wid for wid in path if wid in keep])
+            path = tuple([item for item in path if item in keep])
         if path in base:
             base[path] += weight
         elif path:
@@ -58,42 +57,28 @@ def fp_growth(base: Base, minsup: int) -> dict[frozenset[int], int]:
     out: dict[frozenset[int], int] = {}
 
     def walk(b: Base, suffix: frozenset[int]) -> None:
-        # Each word's support in ``b`` and the non-empty prefixes in front of it.
+        # Each item's support in ``b`` and the non-empty prefixes in front of it.
         totals: dict[int, int] = {}
         prefixes: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for path, weight in b.items():
-            for pos, wid in enumerate(path):
-                if wid in totals:
-                    totals[wid] += weight
+            for pos, item in enumerate(path):
+                if item in totals:
+                    totals[item] += weight
                 else:
-                    totals[wid] = weight
-                    prefixes[wid] = []
+                    totals[item] = weight
+                    prefixes[item] = []
                 if pos:
-                    prefixes[wid].append((path[:pos], weight))
-        for wid, total in totals.items():
+                    prefixes[item].append((path[:pos], weight))
+        for item, total in totals.items():
             if total < minsup:
                 continue
-            items = suffix | {wid}
+            items = suffix | {item}
             out[items] = total
-            if prefixes[wid]:
-                cond = tree_from_weighted_paths(prefixes[wid], minsup)
+            if prefixes[item]:
+                cond = tree_from_weighted_paths(prefixes[item], minsup)
                 if cond:
                     walk(cond, items)
 
     walk(base, frozenset())
     return out
 
-
-def build_fp_tree(transactions: Iterable[Iterable[int]], minsup: int) -> Base:
-    """Two passes over a transaction list: count, order, filter, merge."""
-    txs = [set(t) for t in transactions]
-    counts: dict[int, int] = {}
-    for t in txs:
-        for wid in t:
-            counts[wid] = counts.get(wid, 0) + 1
-    order = sorted((w for w, c in counts.items() if c >= minsup),
-                   key=lambda w: (-counts[w], w))
-    rank = {w: i for i, w in enumerate(order)}
-    return tree_from_weighted_paths(
-        [(tuple(sorted((w for w in t if w in rank), key=rank.__getitem__)), 1)
-         for t in txs], minsup)

@@ -2,13 +2,13 @@
 
 Pass one reads each record once: it counts every word globally and per
 leaf cell and keeps the in-box records as compact columns. Words whose
-global count falls below sigma are dropped for good. Pass two sorts the
-records' surviving words by global frequency and the records by those
-rank tuples, then appends each record to the tree past its common prefix
-with the one before. The tree is a set of flat arrays (node word, node
-parent, and per-node leaf-cell counts in CSR form), so it holds no
-object per node. The per-(word, cell) header holds the pass-one counts,
-and ``nodes_of`` lists the tree nodes holding each word.
+global count falls below sigma are dropped for good. From pass two on
+the miner works on word ranks in the global order: each record becomes
+its ascending rank tuple, and the records, sorted by those tuples, are
+appended to the tree past their common prefix with the one before. The
+tree is flat arrays (node rank, node parent, per-node leaf-cell counts
+in CSR form) plus one node list per rank, with no object per node. The
+per-(word id, cell) header holds the pass-one counts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .errors import OrderViolation, PointOutOfBounds
 from .grid import Grid, encode
@@ -81,11 +81,6 @@ class CellTable:
     def __len__(self) -> int:
         return sum(len(cells) for cells in self._by_word.values())
 
-    def items(self) -> Iterator[tuple[int, int, int]]:
-        for wid, cells in self._by_word.items():
-            for cell, count in cells.items():
-                yield wid, cell, count
-
 
 class Columns:
     """The in-box records of one read as compact arrays: record ``i``
@@ -105,21 +100,22 @@ class Columns:
 class SpatialTree:
     """The cell-annotated prefix tree as flat arrays.
 
-    Node 0 is the root. Node ``n`` holds word ``wid_of[n]`` under node
-    ``parent_of[n]``; its leaf-cell counts are
+    Node 0 is the root. Node ``n`` holds the word of rank ``rank_of[n]``
+    under node ``parent_of[n]``; its leaf-cell counts are
     ``cell_leaf[cell_start[n]:cell_start[n + 1]]`` with ``cell_count``
-    alongside, in ascending leaf order. Records must arrive in ascending
-    order of their rank tuples (see ``sorted_records``), so that nodes
-    are numbered in depth-first order and siblings in rank order. Until
-    ``finalize`` the cell counts are a log of (node, leaf) events, one per
-    node on each record's path, and every reader raises.
+    alongside, in ascending leaf order. ``by_rank[r]`` lists the nodes
+    holding rank ``r`` in ascending node order. Records must arrive in
+    ascending order of their rank tuples (see ``sorted_records``), so that
+    nodes are numbered in depth-first order and siblings in rank order.
+    Until ``finalize`` the cell counts are a log of (node, leaf) events,
+    one per node on each record's path, and every reader raises.
     """
 
     def __init__(self, words: WordTable, header: CellTable, height: int):
         self.words = words
         self.header = header
         self.height = height
-        self.wid_of = array("q", [-1])
+        self.rank_of = array("q", [-1])
         self.parent_of = array("q", [0])
         self.cell_start = array("q")
         self.cell_leaf = array("q")
@@ -127,9 +123,9 @@ class SpatialTree:
         self.finalized = False
         self._event_node = array("q")
         self._event_leaf = array("q")
-        self._last: list[int] = []  # ranks of the last record inserted
+        self.by_rank = [array("q") for _ in range(len(words))]
+        self._last: tuple[int, ...] = ()  # ranks of the last record inserted
         self._path: list[int] = []  # its nodes, root excluded
-        self._nodes_by_word: dict[int, array] = {}
 
     def finalize(self) -> None:
         """Sort the event log once into the per-node cell arrays."""
@@ -141,7 +137,7 @@ class SpatialTree:
         mask = (1 << shift) - 1
         events = sorted([node << shift | leaf for node, leaf
                          in zip(self._event_node, self._event_leaf)])
-        sizes = array("q", bytes(8 * (len(self.wid_of) + 1)))
+        sizes = array("q", bytes(8 * (len(self.rank_of) + 1)))
         leaves, counts = self.cell_leaf, self.cell_count
         last = -1
         for event in events:
@@ -157,10 +153,11 @@ class SpatialTree:
         self.finalized = True
 
     def nodes_of(self, wid: int) -> array:
-        """Every tree node holding ``wid``, in ascending node order."""
+        """Every tree node holding word id ``wid``, in ascending node order."""
         if not self.finalized:
             raise RuntimeError("the tree is read only after finalize()")
-        return self._nodes_by_word.get(wid, array("q"))
+        r = self.words.rank.get(wid)
+        return array("q") if r is None else self.by_rank[r]
 
 
 def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
@@ -195,13 +192,11 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
     return words, header, cols
 
 
-def sorted_records(cols: Columns, words: WordTable) -> Iterator[tuple[list[int], int]]:
-    """Pass two: each record's retained words in global order, with its leaf.
-
-    Records come in ascending order of their tuples of word ranks; those
-    left with no retained word are skipped.
-    """
-    rank, order, wids = words.rank, words.order, cols.wids
+def sorted_records(cols: Columns, words: WordTable) -> list[tuple[tuple[int, ...], int]]:
+    """Pass two: each record's retained words as an ascending rank tuple,
+    with its leaf, in ascending order of those tuples. Records left with
+    no retained word are skipped."""
+    rank, wids = words.rank, cols.wids
     keyed = []
     start = 0
     for end, leaf in zip(cols.offsets[1:], cols.leaves):
@@ -211,13 +206,13 @@ def sorted_records(cols: Columns, words: WordTable) -> Iterator[tuple[list[int],
         if ranks:
             keyed.append((ranks, leaf))
     keyed.sort()
-    for ranks, leaf in keyed:
-        yield [order[r] for r in ranks], leaf
+    return keyed
 
 
-def insert_record(tree: SpatialTree, sorted_wids: list[int], cell: int) -> None:
-    """Second-pass insertion of one record's surviving words.
+def insert_record(tree: SpatialTree, ranks: Sequence[int], cell: int) -> None:
+    """Second-pass insertion of one record's retained words as ranks.
 
+    ``ranks`` must be strictly ascending ints in ``range(len(tree.words))``.
     Reuses the previous record's path up to their common prefix, appends
     nodes for the rest and logs one event per node on the path. Records
     must come in ``sorted_records`` order; equal records may repeat.
@@ -226,17 +221,12 @@ def insert_record(tree: SpatialTree, sorted_wids: list[int], cell: int) -> None:
         raise RuntimeError("cannot insert after finalize()")
     if not 0 <= cell < 1 << 2 * tree.height:
         raise ValueError(f"leaf cell {cell} outside a height-{tree.height} grid")
-    rank = tree.words.rank
-    ranks: list[int] = []
-    prev_rank = -1
-    for wid in sorted_wids:
-        r = rank.get(wid)
-        if r is None:
-            raise OrderViolation(f"word {wid} is not retained in this tree")
-        if r <= prev_rank:
-            raise OrderViolation("words not sorted by the tree's global order")
-        ranks.append(r)
-        prev_rank = r
+    ranks, n = tuple(ranks), len(tree.words)
+    prev = -1
+    for r in ranks:
+        if r <= prev or r >= n:
+            raise OrderViolation(f"ranks {ranks} not strictly ascending in 0..{n - 1}")
+        prev = r
     if not ranks:
         return
     last, path = tree._last, tree._path
@@ -248,19 +238,15 @@ def insert_record(tree: SpatialTree, sorted_wids: list[int], cell: int) -> None:
             break
         k += 1
     del path[k:]
-    wid_of, parent_of, by_word = tree.wid_of, tree.parent_of, tree._nodes_by_word
+    rank_of, parent_of, by_rank = tree.rank_of, tree.parent_of, tree.by_rank
     parent = path[-1] if path else 0
-    for wid in sorted_wids[k:]:
-        node = len(wid_of)
-        wid_of.append(wid)
+    for r in ranks[k:]:
+        node = len(rank_of)
+        rank_of.append(r)
         parent_of.append(parent)
+        by_rank[r].append(node)
         path.append(node)
         parent = node
-        nodes = by_word.get(wid)
-        if nodes is None:
-            by_word[wid] = array("q", [node])
-        else:
-            nodes.append(node)
     tree._last = ranks
     tree._event_node.extend(path)
     tree._event_leaf.extend(repeat(cell, len(path)))
@@ -271,7 +257,7 @@ def build_tree(source: Iterable[GeoRecord], sigma: int, grid: Grid,
     """Both passes over one read of ``source``; see the module docstring."""
     words, header, cols = scan_counts(source, sigma, grid, stats)
     tree = SpatialTree(words, header, grid.height)
-    for wids, leaf in sorted_records(cols, words):
-        insert_record(tree, wids, leaf)
+    for ranks, leaf in sorted_records(cols, words):
+        insert_record(tree, ranks, leaf)
     tree.finalize()
     return tree

@@ -8,9 +8,11 @@ import sys
 from itertools import combinations
 
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
+from spatialfp.errors import SpatialFpError
+from spatialfp.fptree import Base, tree_from_weighted_paths
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
-from spatialfp.spatial_mining import patterns_to_dict
-from spatialfp.spatial_tree import SpatialTree, build_tree
+from spatialfp.spatial_mining import canonical, mine_tree, patterns_to_dict
+from spatialfp.spatial_tree import CellTable, SpatialTree, WordTable, build_tree
 from spatialfp.text import GeoRecord
 
 # --- four-record reference database (grid height 1, sigma 2) ---------------
@@ -127,19 +129,24 @@ def node_cells(tree: SpatialTree, node: int) -> dict[int, int]:
     return dict(zip(tree.cell_leaf[lo:hi], tree.cell_count[lo:hi]))
 
 
+def node_word(tree: SpatialTree, node: int) -> int:
+    """The word id a node holds."""
+    return tree.words.order[tree.rank_of[node]]
+
+
 def node_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
-    """The words from the root down to ``node``, its own word last."""
+    """The word ids from the root down to ``node``, its own word last."""
     path = []
     while node:
-        path.append(tree.wid_of[node])
+        path.append(node_word(tree, node))
         node = tree.parent_of[node]
     return tuple(reversed(path))
 
 
 def children(tree: SpatialTree) -> dict[int, list[int]]:
     """Each node's children, in ascending node order, which is rank order."""
-    out: dict[int, list[int]] = {n: [] for n in range(len(tree.wid_of))}
-    for node in range(1, len(tree.wid_of)):
+    out: dict[int, list[int]] = {n: [] for n in range(len(tree.rank_of))}
+    for node in range(1, len(tree.rank_of)):
         out[tree.parent_of[node]].append(node)
     return out
 
@@ -156,7 +163,7 @@ def dump(tree: SpatialTree, name_of=None) -> str:
             cells = node_cells(tree, child)
             text = ", ".join(f"{gid_str(Gid(tree.height, code))}:{cells[code]}"
                              for code in sorted(cells))
-            lines.append(f"{'  ' * depth}{name_of(tree.wid_of[child])} [{text}]")
+            lines.append(f"{'  ' * depth}{name_of(node_word(tree, child))} [{text}]")
             walk(child, depth + 1)
 
     walk(0, 1)
@@ -170,7 +177,7 @@ def tree_equal(a: SpatialTree, b: SpatialTree) -> bool:
     equal trees have equal arrays.
     """
     return (a.height == b.height and a.words.counts == b.words.counts
-            and a.wid_of == b.wid_of and a.parent_of == b.parent_of
+            and a.rank_of == b.rank_of and a.parent_of == b.parent_of
             and a.cell_start == b.cell_start and a.cell_leaf == b.cell_leaf
             and a.cell_count == b.cell_count)
 
@@ -195,26 +202,27 @@ def check_mass_conservation(tree: SpatialTree, records, grid: Grid) -> None:
 def check_header_consistency(tree: SpatialTree) -> None:
     """Each (word, cell) header count equals that cell's count summed over
     the word's nodes, and the nodes of a word are distinct and hold it."""
-    for wid, cell, count in tree.header.items():
+    entries = list(header_items(tree.header, tree.words.order))
+    assert len(entries) == len(tree.header)  # no entry of a dropped word
+    for wid, cell, count in entries:
         node_sum = sum(node_cells(tree, n).get(cell, 0) for n in tree.nodes_of(wid))
         assert node_sum == count, (wid, cell)
     node_pairs = set()
     for wid in tree.words.order:
         nodes = tree.nodes_of(wid)
         assert len(nodes) == len(set(nodes)), wid
-        assert all(tree.wid_of[n] == wid for n in nodes), wid
+        assert all(node_word(tree, n) == wid for n in nodes), wid
         node_pairs.update((wid, cell) for n in nodes for cell in node_cells(tree, n))
-    assert node_pairs == {(wid, cell) for wid, cell, _ in tree.header.items()}
+    assert node_pairs == {(wid, cell) for wid, cell, _ in entries}
 
 
 def check_prefix_order(tree: SpatialTree) -> None:
     """Ranks strictly increase along every root-to-node path."""
-    rank = tree.words.rank
 
     def walk(node, prev):
         for child in kids[node]:
-            r = rank[tree.wid_of[child]]
-            assert r > prev, tree.wid_of[child]
+            r = tree.rank_of[child]
+            assert r > prev, child
             walk(child, r)
 
     kids = children(tree)
@@ -245,6 +253,87 @@ def check_subset_closure(found: dict) -> None:
 def check_no_duplicates(patterns) -> None:
     keys = [(p.words, p.gid.level, p.gid.code) for p in patterns]
     assert len(keys) == len(set(keys))
+
+
+# --- per-cell reference mining, composed step by step ----------------------
+
+
+class UnknownEntry(SpatialFpError):
+    """A word that is not part of the structure being queried."""
+
+
+def mine_patterns(tree: SpatialTree, sigmas) -> list:
+    """``mine_tree`` plus the canonical sort, as ``engine.mine`` does it."""
+    return canonical(mine_tree(tree, sigmas), tree.words)
+
+
+def header_items(header: CellTable, wids):
+    """(wid, cell, count) for each header entry of the words ``wids``."""
+    for wid in wids:
+        for cell, count in header.cells_of(wid).items():
+            yield wid, cell, count
+
+
+def level_table(tree: SpatialTree, level: int, sigma: int) -> dict[tuple[int, int], int]:
+    """The tree's header counts aggregated to ``level``, keyed (wid, code),
+    entries below sigma dropped."""
+    shift = 2 * (tree.height - level)
+    agg: dict[tuple[int, int], int] = {}
+    for wid, cell, count in header_items(tree.header, tree.words.order):
+        key = (wid, cell >> shift)
+        agg[key] = agg.get(key, 0) + count
+    return {k: c for k, c in agg.items() if c >= sigma}
+
+
+def reverse_entries(table: dict[tuple[int, int], int],
+                    words: WordTable) -> list[tuple[int, int, int]]:
+    """(wid, code, count) sorted by reverse global order, then code.
+
+    Reverse global order is ascending global frequency with ties on
+    descending word id, i.e. the global order walked backwards.
+    """
+    rank = words.rank
+    return sorted(((w, g, c) for (w, g), c in table.items()),
+                  key=lambda e: (-rank[e[0]], e[1]))
+
+
+def cell_conditional_tree(tree: SpatialTree, wid: int, gid: Gid,
+                          sigma: int) -> Base:
+    """Conditional base of ``wid`` restricted to cell ``gid``, over word ids.
+
+    Each tree node holding ``wid`` contributes its prefix path weighted
+    by the node's leaf counts that fall inside ``gid``; words whose
+    conditional total misses sigma are pruned.
+    """
+    if wid not in tree.words:
+        raise UnknownEntry(f"word {wid} is not retained in this tree")
+    shift = 2 * (tree.height - gid.level)
+    paths = []
+    for node in tree.nodes_of(wid):
+        weight = sum(count for leaf, count in node_cells(tree, node).items()
+                     if leaf >> shift == gid.code)
+        if weight:
+            paths.append((node_path(tree, node)[:-1], weight))
+    return tree_from_weighted_paths(paths, sigma)
+
+
+def build_fp_tree(transactions, minsup: int) -> Base:
+    """Two passes over a transaction list: count, order, filter, merge.
+
+    Paths hold the transactions' own items in the global order
+    (descending count, ties ascending item).
+    """
+    txs = [set(t) for t in transactions]
+    counts: dict[int, int] = {}
+    for t in txs:
+        for wid in t:
+            counts[wid] = counts.get(wid, 0) + 1
+    order = sorted((w for w, c in counts.items() if c >= minsup),
+                   key=lambda w: (-counts[w], w))
+    rank = {w: i for i, w in enumerate(order)}
+    return tree_from_weighted_paths(
+        [(tuple(sorted((w for w in t if w in rank), key=rank.__getitem__)), 1)
+         for t in txs], minsup)
 
 
 def mine_to_dict(records, sigma, grid, backend=None):

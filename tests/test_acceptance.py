@@ -26,6 +26,7 @@ from helpers import (
     FUZZ_BBOX,
     REF_GRID,
     REF_PATTERNS,
+    build_fp_tree,
     check_header_consistency,
     check_mass_conservation,
     check_no_duplicates,
@@ -33,6 +34,7 @@ from helpers import (
     check_subset_closure,
     check_upward_closure,
     fuzz_instance,
+    mine_patterns,
     reference_records,
     run_cli,
     summary_fields,
@@ -41,9 +43,9 @@ from helpers import (
 from spatialfp import engine, oracle
 from spatialfp.datagen import GenConfig, PlantedPattern, generate, word_name
 from spatialfp.formats import write_corpus
-from spatialfp.fptree import build_fp_tree, fp_growth
+from spatialfp.fptree import fp_growth
 from spatialfp.grid import BoundingBox, Gid, Grid, ancestor_at, gid_str
-from spatialfp.spatial_mining import mine_tree, patterns_to_dict
+from spatialfp.spatial_mining import patterns_to_dict
 from spatialfp.spatial_tree import build_tree
 
 # Synthetic corpus shape for the timing criteria, fixed after measuring
@@ -159,7 +161,7 @@ def test_c2_worked_micro_examples(capsys):
                                       backend=backend)
             assert patterns_to_dict(patterns) == REF_PATTERNS
         tree = build_tree(reference_records(), 2, REF_GRID)
-        assert patterns_to_dict(mine_tree(tree, [2, 2])) == REF_PATTERNS
+        assert patterns_to_dict(mine_patterns(tree, [2, 2])) == REF_PATTERNS
 
         # Five-transaction database: exactly eight itemsets at minsup 2.
         got = fp_growth(build_fp_tree(DINING_TRANSACTIONS, 2), 2)

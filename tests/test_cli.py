@@ -9,7 +9,8 @@ from helpers import run_cli, summary_fields, write_reference_corpus
 from spatialfp import cli, engine, formats
 from spatialfp.engine import HAVE_SPEEDUPS
 from spatialfp.formats import FileSource, read_patterns
-from spatialfp.grid import METERS_PER_DEGREE
+from spatialfp.grid import METERS_PER_DEGREE, ROOT
+from spatialfp.spatial_mining import SpatialPattern
 from spatialfp.text import Vocabulary
 
 needs_fast = pytest.mark.skipif(not HAVE_SPEEDUPS,
@@ -236,13 +237,24 @@ def test_check_passes_on_small_instances(ref_corpus):
     assert proc.stdout.splitlines()[-1] == "identical"
 
 
-def test_check_detects_corrupted_output(ref_corpus):
-    proc = run_cli("check", "--input", ref_corpus, "--bbox", "0,0,4,4",
-                   "--height", "1", "--sigma", "2", "--selftest-corrupt")
-    assert proc.returncode == 1
-    assert "DIFFER" in proc.stdout
-    assert "only in a" in proc.stdout
-    assert "count mismatch" in proc.stdout
+def test_check_detects_corrupted_output(ref_corpus, monkeypatch, capsys):
+    mine = engine.mine
+
+    def corrupted(*args, **kwargs):
+        # Bump one count and add one pattern the reference cannot have.
+        patterns, report = mine(*args, **kwargs)
+        first = patterns[0]._replace(count=patterns[0].count + 1)
+        extra = SpatialPattern(frozenset({2**30}), ROOT, 1)
+        return [first, *patterns[1:], extra], report
+
+    monkeypatch.setattr(engine, "mine", corrupted)
+    code = cli.main(["check", "--input", str(ref_corpus), "--bbox", "0,0,4,4",
+                     "--height", "1", "--sigma", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "DIFFER" in out
+    assert "only in a" in out
+    assert "count mismatch" in out
 
 
 def test_check_refuses_oversized_instances_without_force(tmp_path):

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
 from helpers import REF_GRID, REF_PATTERNS, fuzz_instance, reference_records
@@ -32,15 +28,6 @@ def test_resolve_backend():
     if not engine.HAVE_SPEEDUPS:
         with pytest.raises(RuntimeError):
             engine.resolve_backend("fast")
-
-
-def test_env_var_forces_the_pure_backend():
-    code = ("import spatialfp.engine as e; "
-            "print(e.default_backend(), e.resolve_backend('auto'))")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, SPATIALFP_PURE_PYTHON="1"), check=True)
-    assert out.stdout.split() == ["pure", "pure"]
 
 
 @pytest.mark.parametrize("backend", ["pure", pytest.param("fast", marks=needs_fast)])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import REF_GRID, reference_records
+from helpers import REF_GRID, mine_patterns, reference_records
 from spatialfp.formats import (
     FileSource,
     MalformedRecord,
@@ -12,7 +12,7 @@ from spatialfp.formats import (
     write_patterns,
 )
 from spatialfp.grid import Gid, gid_str
-from spatialfp.spatial_mining import SpatialPattern, mine_tree
+from spatialfp.spatial_mining import SpatialPattern
 from spatialfp.spatial_tree import WordTable, build_tree
 from spatialfp.text import Vocabulary
 
@@ -132,7 +132,7 @@ def test_pattern_file_roundtrip(tmp_path):
     for w in ["a", "b", "c"]:
         vocab.intern(w)
     tree = build_tree(reference_records(), 2, REF_GRID)
-    patterns = mine_tree(tree, [2, 2])
+    patterns = mine_patterns(tree, [2, 2])
     path = tmp_path / "patterns.jsonl"
     write_patterns(str(path), patterns, tree.words, vocab)
 

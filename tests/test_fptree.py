@@ -9,9 +9,10 @@ from helpers import (
     ITALIAN,
     PIZZA,
     RESTAURANT,
+    build_fp_tree,
     powerset_counts,
 )
-from spatialfp.fptree import build_fp_tree, fp_growth, tree_from_weighted_paths
+from spatialfp.fptree import fp_growth, tree_from_weighted_paths
 
 
 def test_growth_on_the_five_transaction_example():

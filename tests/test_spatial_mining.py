@@ -8,27 +8,28 @@ from helpers import (
     B,
     REF_GRID,
     REF_PATTERNS,
+    UnknownEntry,
+    cell_conditional_tree,
     check_no_duplicates,
     check_subset_closure,
     check_upward_closure,
     fuzz_instance,
+    level_table,
+    mine_patterns,
     reference_records,
+    reverse_entries,
 )
 from spatialfp import engine
 from spatialfp.datagen import GenConfig, generate
-from spatialfp.errors import UnknownEntry
 from spatialfp.fptree import fp_growth
 from spatialfp.grid import ROOT, Gid, Grid
 from spatialfp.oracle import compare, reference_patterns
 from spatialfp.spatial_mining import (
     SpatialPattern,
-    cell_conditional_tree,
+    canonical,
     expand_sigmas,
-    level_table,
     mine_tree,
     patterns_to_dict,
-    reverse_entries,
-    sort_patterns,
 )
 from spatialfp.spatial_tree import build_tree
 
@@ -49,16 +50,15 @@ def test_expand_sigmas():
 
 
 def test_level_table_aggregates_and_filters(ref_tree):
-    header, height = ref_tree.header, ref_tree.height
-    assert level_table(header, height, 1, 1) == {
+    assert level_table(ref_tree, 1, 1) == {
         (A, 0b00): 2, (A, 0b01): 1, (B, 0b00): 2, (B, 0b01): 1}
-    assert level_table(header, height, 1, 2) == {(A, 0b00): 2, (B, 0b00): 2}
-    assert level_table(header, height, 0, 2) == {(A, 0): 3, (B, 0): 3}
-    assert level_table(header, height, 0, 4) == {}
+    assert level_table(ref_tree, 1, 2) == {(A, 0b00): 2, (B, 0b00): 2}
+    assert level_table(ref_tree, 0, 2) == {(A, 0): 3, (B, 0): 3}
+    assert level_table(ref_tree, 0, 4) == {}
 
 
 def test_reverse_entries_walk_the_order_backwards(ref_tree):
-    table = level_table(ref_tree.header, ref_tree.height, 1, 1)
+    table = level_table(ref_tree, 1, 1)
     assert reverse_entries(table, ref_tree.words) == [
         (B, 0b00, 2), (B, 0b01, 1), (A, 0b00, 2), (A, 0b01, 1)]
 
@@ -87,7 +87,12 @@ def test_cell_conditional_tree_unknown_word(ref_tree):
 
 
 def test_mine_tree_reference_output(ref_tree):
-    patterns = mine_tree(ref_tree, [2, 2])
+    # Raw tuples carry ranks (a = 0, b = 1), suffix first.
+    assert sorted(mine_tree(ref_tree, [2, 2])) == [
+        ((0,), 0, 0, 3), ((0,), 1, 0b00, 2),
+        ((1,), 0, 0, 3), ((1,), 1, 0b00, 2),
+        ((1, 0), 0, 0, 2), ((1, 0), 1, 0b00, 2)]
+    patterns = mine_patterns(ref_tree, [2, 2])
     assert patterns_to_dict(patterns) == REF_PATTERNS
     # Canonical order: deepest level first, then cell, then size.
     assert patterns == [
@@ -106,10 +111,17 @@ def test_mine_tree_wants_per_level_sigmas(ref_tree):
 
 
 def test_sort_patterns_restores_canonical_order(ref_tree):
-    patterns = mine_tree(ref_tree, [2, 2])
-    shuffled = patterns[:]
-    random.Random(5).shuffle(shuffled)
-    assert sort_patterns(shuffled, ref_tree.words) == patterns
+    patterns = mine_patterns(ref_tree, [2, 2])
+    # Raw tuples the way FastMiner.mine emits them: ranks suffix first.
+    rank = ref_tree.words.rank
+    raw = [(tuple(sorted((rank[w] for w in p.words), reverse=True)),
+            p.gid.level, p.gid.code, p.count) for p in patterns]
+    assert any(ranks != tuple(sorted(ranks)) for ranks, *_ in raw)
+    random.Random(5).shuffle(raw)
+    got = canonical(raw, ref_tree.words)
+    assert got == patterns
+    # One Gid object per cell, shared by its patterns.
+    assert len({id(p.gid) for p in got}) == len({p.gid for p in got}) == 2
 
 
 def _composed_mine(tree, sigmas):
@@ -117,7 +129,7 @@ def _composed_mine(tree, sigmas):
     found = {}
     for level in range(tree.height, -1, -1):
         sigma = sigmas[level]
-        table = level_table(tree.header, tree.height, level, sigma)
+        table = level_table(tree, level, sigma)
         for wid, code, count in reverse_entries(table, tree.words):
             gid = Gid(level, code)
             found[(frozenset({wid}), level, code)] = count
@@ -141,7 +153,7 @@ def test_fused_mining_equals_composed_mining(seed):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
     sigmas = SIGMA_SHAPES["uniform"](grid.height, sigma)
-    assert patterns_to_dict(mine_tree(tree, sigmas)) == _composed_mine(tree, sigmas)
+    assert patterns_to_dict(mine_patterns(tree, sigmas)) == _composed_mine(tree, sigmas)
 
 
 @pytest.mark.parametrize("shape", sorted(set(SIGMA_SHAPES) - {"uniform"}))
@@ -150,7 +162,7 @@ def test_fused_mining_equals_composed_mining_per_level_sigmas(seed, shape):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
     sigmas = SIGMA_SHAPES[shape](grid.height, sigma)
-    assert patterns_to_dict(mine_tree(tree, sigmas)) == _composed_mine(tree, sigmas)
+    assert patterns_to_dict(mine_patterns(tree, sigmas)) == _composed_mine(tree, sigmas)
 
 
 @pytest.mark.parametrize("shape", sorted(SIGMA_SHAPES))
@@ -166,7 +178,7 @@ def test_per_level_sigmas_match_the_brute_force_reference(height, shape):
     assert {level for words, level, _ in reference if len(words) > 1} \
         == set(range(height + 1))
     tree = build_tree(records, min(sigmas), grid)
-    assert compare(patterns_to_dict(mine_tree(tree, sigmas)), reference).ok
+    assert compare(patterns_to_dict(mine_patterns(tree, sigmas)), reference).ok
     for backend in engine.available_backends():
         patterns, _ = engine.mine(records, sigmas, grid, backend=backend)
         assert compare(patterns_to_dict(patterns), reference).ok, backend
@@ -176,7 +188,7 @@ def test_per_level_sigmas_match_the_brute_force_reference(height, shape):
 def test_mining_matches_the_brute_force_reference(seed):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
-    mined = patterns_to_dict(mine_tree(tree, [sigma] * (grid.height + 1)))
+    mined = patterns_to_dict(mine_patterns(tree, [sigma] * (grid.height + 1)))
     assert compare(mined, reference_patterns(
         records, grid, [sigma] * (grid.height + 1))).ok
 
@@ -185,7 +197,7 @@ def test_mining_matches_the_brute_force_reference(seed):
 def test_closure_properties_hold(seed):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
-    patterns = mine_tree(tree, [sigma] * (grid.height + 1))
+    patterns = mine_patterns(tree, [sigma] * (grid.height + 1))
     found = patterns_to_dict(patterns)
     check_upward_closure(found, grid.height)
     check_subset_closure(found)
@@ -195,7 +207,7 @@ def test_closure_properties_hold(seed):
 def test_raising_sigma_only_removes_patterns():
     records, grid, sigma = fuzz_instance(14)
     tree = build_tree(records, sigma, grid)
-    low = patterns_to_dict(mine_tree(tree, [sigma] * (grid.height + 1)))
-    high = patterns_to_dict(mine_tree(tree, [sigma * 2] * (grid.height + 1)))
+    low = patterns_to_dict(mine_patterns(tree, [sigma] * (grid.height + 1)))
+    high = patterns_to_dict(mine_patterns(tree, [sigma * 2] * (grid.height + 1)))
     assert set(high) <= set(low)
     assert all(low[k] == v for k, v in high.items())

@@ -13,8 +13,11 @@ from helpers import (
     check_header_consistency,
     check_mass_conservation,
     check_prefix_order,
+    cell_conditional_tree,
     dump,
     fuzz_instance,
+    header_items,
+    mine_patterns,
     node_cells,
     node_path,
     reference_records,
@@ -23,7 +26,7 @@ from helpers import (
 from spatialfp.errors import OrderViolation, PointOutOfBounds
 from spatialfp.grid import MAX_HEIGHT, BoundingBox, GeoPoint, Gid, Grid, encode
 from spatialfp.oracle import reference_patterns
-from spatialfp.spatial_mining import cell_conditional_tree, mine_tree, patterns_to_dict
+from spatialfp.spatial_mining import mine_tree, patterns_to_dict
 from spatialfp.spatial_tree import (
     CellTable,
     Columns,
@@ -90,8 +93,9 @@ def test_filter_sort():
     cols.append([99], 0b10)  # nothing retained: skipped
     cols.append([10], 0b11)
     cols.append([11], 0b00)
+    # Ranks: 11 -> 0, 10 -> 1, 12 -> 2.
     assert list(sorted_records(cols, words)) == [
-        ([11], 0b00), ([11, 10, 12], 0b01), ([10], 0b11)]
+        ((0,), 0b00), ((0, 1, 2), 0b01), ((1,), 0b11)]
 
 
 def test_build_tree_structure():
@@ -103,8 +107,10 @@ def test_build_tree_structure():
         "  a [00:2, 01:1]\n"
         "    b [00:2]\n"
         "  b [01:1]")
-    # Nodes in depth-first order of the sorted records: a, a -> b, b.
-    assert list(tree.wid_of) == [-1, A, B, B]
+    # Nodes in depth-first order of the sorted records: a, a -> b, b,
+    # holding ranks a = 0, b = 1.
+    assert list(tree.rank_of) == [-1, 0, 1, 1]
+    assert [list(nodes) for nodes in tree.by_rank] == [[1], [2, 3]]
     assert list(tree.parent_of) == [0, 0, 1, 0]
     assert list(tree.cell_start) == [0, 0, 2, 3, 4]
     assert list(tree.cell_leaf) == [0b00, 0b01, 0b00, 0b01]
@@ -114,7 +120,7 @@ def test_build_tree_structure():
 def test_nodes_of_lists_distinct_nodes_per_word():
     tree = build_tree(reference_records(), 2, REF_GRID)
     deep, shallow = tree.nodes_of(B)
-    assert tree.wid_of[tree.parent_of[deep]] == A
+    assert node_path(tree, deep) == (A, B)
     assert node_cells(tree, deep) == {0b00: 2}
     assert tree.parent_of[shallow] == 0
     assert node_cells(tree, shallow) == {0b01: 1}
@@ -130,34 +136,35 @@ def _empty_ref_tree() -> SpatialTree:
 
 
 def test_insert_record_rejects_unsorted_and_unknown():
+    # The reference tree retains a (rank 0) and b (rank 1).
     tree = _empty_ref_tree()
-    with pytest.raises(OrderViolation):
-        insert_record(tree, [B, A], 0)
-    with pytest.raises(OrderViolation):
-        insert_record(tree, [A, A], 0)
-    with pytest.raises(OrderViolation):
-        insert_record(tree, [C], 0)
+    for bad in [(1, 0), (0, 0), (2,), (-1,), (-1, 0), (0, 2), (1, 1)]:
+        with pytest.raises(OrderViolation):
+            insert_record(tree, bad, 0)
     with pytest.raises(ValueError):
-        insert_record(tree, [A], 4)  # no such leaf at height 1
+        insert_record(tree, (0,), 4)  # no such leaf at height 1
+    insert_record(tree, (0, 1), 0)  # the rejected records left no trace
+    tree.finalize()
+    assert list(tree.rank_of) == [-1, 0, 1]
 
 
 def test_insert_record_rejects_records_out_of_order():
     tree = _empty_ref_tree()
-    insert_record(tree, [B], 0)
+    insert_record(tree, (1,), 0)
     with pytest.raises(OrderViolation):
-        insert_record(tree, [A, B], 0)  # sorts before [B]
+        insert_record(tree, (0, 1), 0)  # sorts before (1,)
     tree = _empty_ref_tree()
-    insert_record(tree, [A, B], 0)
+    insert_record(tree, (0, 1), 0)
     with pytest.raises(OrderViolation):
-        insert_record(tree, [A], 0)  # a strict prefix after a longer record
+        insert_record(tree, (0,), 0)  # a strict prefix after a longer record
 
 
 def test_insert_record_accepts_repeated_and_extended_records():
     tree = _empty_ref_tree()
-    for wids, cell in [([A], 1), ([A, B], 0), ([A, B], 0), ([A, B], 1), ([B], 1)]:
-        insert_record(tree, wids, cell)
+    for ranks, cell in [((0,), 1), ((0, 1), 0), ((0, 1), 0), ((0, 1), 1), ((1,), 1), ((), 1)]:
+        insert_record(tree, ranks, cell)
     tree.finalize()
-    assert list(tree.wid_of) == [-1, A, B, B]
+    assert list(tree.rank_of) == [-1, 0, 1, 1]
     assert node_cells(tree, 1) == {0: 2, 1: 2}
     assert node_cells(tree, 2) == {0: 2, 1: 1}
     assert node_cells(tree, 3) == {1: 1}
@@ -165,7 +172,7 @@ def test_insert_record_accepts_repeated_and_extended_records():
 
 def test_unfinalized_tree_cannot_be_read_and_finalized_cannot_grow():
     tree = _empty_ref_tree()
-    insert_record(tree, [A, B], 0)
+    insert_record(tree, (0, 1), 0)
     with pytest.raises(RuntimeError):
         tree.nodes_of(A)
     with pytest.raises(RuntimeError):
@@ -176,7 +183,7 @@ def test_unfinalized_tree_cannot_be_read_and_finalized_cannot_grow():
         mine_tree(_empty_ref_tree(), [2, 2])  # nothing inserted, still unread
     tree.finalize()
     with pytest.raises(RuntimeError):
-        insert_record(tree, [A, B], 0)
+        insert_record(tree, (0, 1), 0)
 
 
 def test_cell_table_prune_and_items():
@@ -187,7 +194,7 @@ def test_cell_table_prune_and_items():
     assert table.totals() == {A: 3, C: 1}
     table.prune(WordTable({A: 3}))
     assert len(table) == 2
-    assert set(table.items()) == {(A, 0, 1), (A, 1, 2)}
+    assert set(header_items(table, [A, C])) == {(A, 0, 1), (A, 1, 2)}
     assert table.cells_of(C) == {}
 
 
@@ -245,8 +252,8 @@ def test_nodes_equal_brute_force_prefix_counts(seed):
         for j in range(1, len(kept) + 1):
             cells = want.setdefault(tuple(kept[:j]), {})
             cells[leaf] = cells.get(leaf, 0) + 1
-    got = {node_path(tree, n): node_cells(tree, n) for n in range(1, len(tree.wid_of))}
-    assert len(got) == len(tree.wid_of) - 1  # one node per distinct prefix
+    got = {node_path(tree, n): node_cells(tree, n) for n in range(1, len(tree.rank_of))}
+    assert len(got) == len(tree.rank_of) - 1  # one node per distinct prefix
     assert got == want
 
 
@@ -256,12 +263,12 @@ def test_deepest_grid_builds_and_mines():
     records, _, sigma = fuzz_instance(9)
     grid = Grid(FUZZ_BBOX, MAX_HEIGHT)
     tree = build_tree(records, sigma, grid)
-    assert len(tree.wid_of) > 100
+    assert len(tree.rank_of) > 100
     check_mass_conservation(tree, records, grid)
     check_header_consistency(tree)
     check_prefix_order(tree)
     sigmas = [sigma] * (MAX_HEIGHT + 1)
-    assert patterns_to_dict(mine_tree(tree, sigmas)) == reference_patterns(records, grid, sigmas)
+    assert patterns_to_dict(mine_patterns(tree, sigmas)) == reference_patterns(records, grid, sigmas)
 
 
 def test_tree_memory_per_node():
@@ -280,6 +287,6 @@ def test_tree_memory_per_node():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    nodes = len(tree.wid_of) - 1
+    nodes = len(tree.rank_of) - 1
     assert nodes > 50_000
     assert retained / nodes <= 250
