@@ -6,12 +6,11 @@ single grid cell, at any hierarchy level, reaches the threshold. The
 core is a cell-annotated prefix tree, kept as flat arrays and built in
 two passes over one read of the records (the second appends the records
 in sorted order), plus a growth step that mines, per (word, cell), a
-conditional base of weighted prefix paths, with an optional compiled
-backend for the hot kernels.
+conditional base of weighted prefix paths.
 """
 
 from .datagen import GenConfig, PlantedPattern, generate
-from .engine import HAVE_SPEEDUPS, available_backends, default_backend, mine
+from .engine import mine
 from .grid import BoundingBox, GeoPoint, Gid, Grid, choose_height, encode
 from .spatial_mining import SpatialPattern
 from .text import GeoRecord, Vocabulary, tokenize
@@ -25,13 +24,10 @@ __all__ = [
     "GeoRecord",
     "Gid",
     "Grid",
-    "HAVE_SPEEDUPS",
     "PlantedPattern",
     "SpatialPattern",
     "Vocabulary",
-    "available_backends",
     "choose_height",
-    "default_backend",
     "encode",
     "generate",
     "mine",

@@ -72,7 +72,10 @@ def _parse_int_list(s: str, flag: str) -> list[int]:
 
 def _load_stopwords(args) -> frozenset[str]:
     if getattr(args, "stopwords", None):
-        return load_stopwords(args.stopwords)
+        try:
+            return load_stopwords(args.stopwords)
+        except UnicodeDecodeError:
+            raise _Abort(f"stopword file {args.stopwords} is not UTF-8") from None
     return frozenset()
 
 
@@ -184,7 +187,7 @@ def cmd_check(args) -> int:
         raise _Abort("instance too large for the brute-force reference "
                      f"({'; '.join(oversize)}); pass --force to run anyway", 2)
 
-    patterns, report = engine.mine(records, sigmas, grid, backend=args.backend)
+    patterns, report = engine.mine(records, sigmas, grid)
     mined = patterns_to_dict(patterns)
     reference = oracle.reference_patterns(records, grid, sigmas)
     report_diff = oracle.compare(mined, reference)
@@ -204,17 +207,8 @@ def cmd_bench(args) -> int:
     grid = _make_grid(args)
     sizes = _parse_int_list(args.records, "--records")
     sigma_values = _parse_int_list(args.sigmas, "--sigmas")
-    if args.backend == "both":
-        backends = list(engine.available_backends())
-    else:
-        backends = [engine.resolve_backend(args.backend)]
-    show_backend = args.backend == "both"
-
-    columns = ["n", "sigma", "first_scan_ms", "tree_build_ms", "growth_ms",
-               "patterns", "word_cell_entries"]
-    if show_backend:
-        columns = ["backend"] + columns
-    rows = ["\t".join(columns)]
+    rows = ["\t".join(["n", "sigma", "first_scan_ms", "tree_build_ms",
+                        "growth_ms", "patterns", "word_cell_entries"])]
 
     for n in sizes:
         cfg = GenConfig(n_records=n, vocab_size=args.vocab,
@@ -223,14 +217,11 @@ def cmd_bench(args) -> int:
         records = generate(cfg, grid)
         for sigma in sigma_values:
             sigmas = expand_sigmas(sigma, grid.height)
-            for backend in backends:
-                _, rep = engine.mine(records, sigmas, grid, backend=backend)
-                row = [str(n), str(sigma), f"{rep.first_scan_ms:.1f}",
-                       f"{rep.tree_build_ms:.1f}", f"{rep.growth_ms:.1f}",
-                       str(rep.pattern_count), str(rep.cell_entries)]
-                if show_backend:
-                    row = [backend] + row
-                rows.append("\t".join(row))
+            _, rep = engine.mine(records, sigmas, grid)
+            rows.append("\t".join([
+                str(n), str(sigma), f"{rep.first_scan_ms:.1f}",
+                f"{rep.tree_build_ms:.1f}", f"{rep.growth_ms:.1f}",
+                str(rep.pattern_count), str(rep.cell_entries)]))
 
     table = "\n".join(rows)
     print(table)
@@ -297,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", help="stopword file, one word per line")
     p.add_argument("--limit", type=int, help="ingest at most this many records")
     p.add_argument("--dict-out", help="persist the word dictionary here")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "pure", "fast"], help="mining backend")
+    p.add_argument("--backend", default="auto", choices=["auto", "pure"],
+                   help="mining backend; both name the one pure Python pipeline")
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("gen", help="generate a synthetic record file")
@@ -322,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int)
     p.add_argument("--force", action="store_true",
                    help="run even past the reference size limits")
-    p.add_argument("--backend", default="auto", choices=["auto", "pure", "fast"])
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="time the mining phases on synthetic data")
@@ -335,8 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zipf", type=float, default=1.1)
     p.add_argument("--words-mean", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "pure", "fast", "both"])
     p.add_argument("--output", help="also write the table to this file")
     p.set_defaults(func=cmd_bench)
 

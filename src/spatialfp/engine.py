@@ -1,8 +1,8 @@
-"""End-to-end mining pipeline with selectable backend.
+"""End-to-end mining pipeline: pass one, the sort-built tree, growth.
 
-Both backends take the same rank tuples from pass two and emit the same
-raw tuples, which ``canonical`` sorts into patterns. The compiled kernel
-is the default when built; pure Python is the fallback and reference.
+Pass two turns the in-box records into sorted rank tuples, which build
+the flat-array ``SpatialTree``; ``mine_tree`` emits raw tuples, which
+``canonical`` sorts into patterns.
 """
 
 from __future__ import annotations
@@ -17,31 +17,11 @@ from .spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
                            scan_counts, sorted_records)
 from .text import GeoRecord
 
-try:
-    from ._speedups import FastMiner
-    HAVE_SPEEDUPS = True
-except ImportError:
-    FastMiner = None
-    HAVE_SPEEDUPS = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("pure", "fast") if HAVE_SPEEDUPS else ("pure",)
-
-
-def default_backend() -> str:
-    return "fast" if HAVE_SPEEDUPS else "pure"
-
 
 def resolve_backend(name: str | None) -> str:
-    if name in (None, "auto"):
-        return default_backend()
-    if name == "pure":
+    """The one backend, ``"pure"``, which ``None`` and ``"auto"`` name too."""
+    if name in (None, "auto", "pure"):
         return "pure"
-    if name == "fast":
-        if not HAVE_SPEEDUPS:
-            raise RuntimeError("compiled backend requested but not built")
-        return "fast"
     raise ValueError(f"unknown backend {name!r}")
 
 
@@ -80,8 +60,7 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     ``after_scan`` runs between the passes; raising there aborts the run.
     """
     sigmas = expand_sigmas(sigma, grid.height)
-    chosen = resolve_backend(backend)
-    report = MineReport(backend=chosen)
+    report = MineReport(backend=resolve_backend(backend))
     stats = ScanStats()
 
     t0 = time.perf_counter()
@@ -90,20 +69,12 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
         after_scan()
     t1 = time.perf_counter()
 
-    if chosen == "fast":
-        miner = FastMiner(len(words), grid.height)
-        for ranks, leaf in sorted_records(cols, words):
-            miner.insert(ranks, leaf)
-        miner.finalize()
-        t2 = time.perf_counter()
-        raw = miner.mine(sigmas)
-    else:
-        tree = SpatialTree(words, header, grid.height)
-        for ranks, leaf in sorted_records(cols, words):
-            insert_record(tree, ranks, leaf)
-        tree.finalize()
-        t2 = time.perf_counter()
-        raw = mine_tree(tree, sigmas)
+    tree = SpatialTree(words, header, grid.height)
+    for ranks, leaf in sorted_records(cols, words):
+        insert_record(tree, ranks, leaf)
+    tree.finalize()
+    t2 = time.perf_counter()
+    raw = mine_tree(tree, sigmas)
     patterns = canonical(raw, words)
     t3 = time.perf_counter()
 

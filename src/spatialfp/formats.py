@@ -67,9 +67,10 @@ class FileSource:
     """Record source over a line-delimited file, parsed as it streams.
 
     Each iteration reads the file from the start, parsing every line
-    once. Malformed lines are skipped; ``lines_read`` and ``malformed``
-    describe the last iteration. Iterating again re-interns the same
-    words, which keeps their ids.
+    once. Malformed lines, a line that is not valid UTF-8 among them, are
+    skipped; ``lines_read`` and ``malformed`` describe the last
+    iteration. Iterating again re-interns the same words, which keeps
+    their ids.
     """
 
     def __init__(self, path: str, vocab: Vocabulary,
@@ -88,13 +89,21 @@ class FileSource:
         self.lines_read = 0
         self.malformed = 0
         yielded = 0
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        with open(self.path, "rb") as fh:
+            for raw in fh:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    line = None
+                else:
+                    if not line.strip():
+                        continue
                 if self.limit is not None and yielded >= self.limit:
                     break
                 self.lines_read += 1
+                if line is None:
+                    self.malformed += 1
+                    continue
                 try:
                     rec = parse_record_line(line, self.lines_read, self.vocab,
                                             self.stopwords, self.stemmer)

@@ -5,7 +5,7 @@ rank's node entries, sorted by leaf cell, are sliced per (level, cell);
 for every (rank, cell) pair meeting that level's sigma the slice becomes
 a non-spatial conditional base, which fp_growth mines. Every pattern is
 emitted as a raw tuple at the cell where it reached the threshold, with
-its exact per-cell support; ``canonical`` sorts either backend's tuples.
+its exact per-cell support; ``canonical`` sorts the tuples into patterns.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ def _prefix_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
 
 def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
     """All spatially frequent rank sets at every level, unsorted, as
-    ``FastMiner.mine`` emits them: ``(ranks, level, code, count)`` with
-    the ranks suffix first.
+    ``(ranks, level, code, count)`` tuples with the ranks suffix first.
 
     Visits each rank once: its nodes' prefix paths are walked once, and
     their (leaf, node, count) entries are sorted by leaf, so that the

@@ -250,14 +250,3 @@ def insert_record(tree: SpatialTree, ranks: Sequence[int], cell: int) -> None:
     tree._last = ranks
     tree._event_node.extend(path)
     tree._event_leaf.extend(repeat(cell, len(path)))
-
-
-def build_tree(source: Iterable[GeoRecord], sigma: int, grid: Grid,
-               stats: ScanStats | None = None) -> SpatialTree:
-    """Both passes over one read of ``source``; see the module docstring."""
-    words, header, cols = scan_counts(source, sigma, grid, stats)
-    tree = SpatialTree(words, header, grid.height)
-    for ranks, leaf in sorted_records(cols, words):
-        insert_record(tree, ranks, leaf)
-    tree.finalize()
-    return tree

@@ -78,10 +78,11 @@ class Vocabulary:
         return self._wids.get(word)
 
     def save(self, path: str) -> None:
-        """Persist as UTF-8 lines of "wid<TAB>word"."""
+        r"""Persist as UTF-8 lines of "wid<TAB>word", with backslash, tab,
+        LF and CR in a word written as ``\\``, ``\t``, ``\n`` and ``\r``."""
         with open(path, "w", encoding="utf-8") as fh:
             for wid, word in enumerate(self._words):
-                fh.write(f"{wid}\t{word}\n")
+                fh.write(f"{wid}\t{word.translate(_ESCAPE)}\n")
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
@@ -92,12 +93,22 @@ class Vocabulary:
                 if not line:
                     continue
                 wid_s, word = line.split("\t", 1)
+                word = _ESCAPED.sub(_unescape, word)
                 wid = int(wid_s)
                 if wid != len(vocab._words):
                     raise ValueError(f"non-dense word id {wid} in {path}")
                 vocab._wids[word] = wid
                 vocab._words.append(word)
         return vocab
+
+
+_ESCAPE = str.maketrans({"\\": r"\\", "\t": r"\t", "\n": r"\n", "\r": r"\r"})
+_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape(m: re.Match) -> str:
+    return _UNESCAPE.get(m[1], m[0])
 
 
 def load_stopwords(path: str) -> frozenset[str]:

@@ -11,8 +11,9 @@ from spatialfp.datagen import GenConfig, PlantedPattern, generate
 from spatialfp.errors import SpatialFpError
 from spatialfp.fptree import Base, tree_from_weighted_paths
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
-from spatialfp.spatial_mining import canonical, mine_tree, patterns_to_dict
-from spatialfp.spatial_tree import CellTable, SpatialTree, WordTable, build_tree
+from spatialfp.spatial_mining import canonical, mine_tree
+from spatialfp.spatial_tree import (CellTable, ScanStats, SpatialTree, WordTable,
+                                   insert_record, scan_counts, sorted_records)
 from spatialfp.text import GeoRecord
 
 # --- four-record reference database (grid height 1, sigma 2) ---------------
@@ -118,6 +119,20 @@ def fuzz_instance(seed: int):
         seed=seed,
     )
     return generate(cfg, grid), grid, sigma
+
+
+# --- the tree alone, built as engine.mine builds it ------------------------
+
+
+def build_tree(source, sigma: int, grid: Grid,
+               stats: ScanStats | None = None) -> SpatialTree:
+    """Both passes over one read of ``source``, finalized, without growth."""
+    words, header, cols = scan_counts(source, sigma, grid, stats)
+    tree = SpatialTree(words, header, grid.height)
+    for ranks, leaf in sorted_records(cols, words):
+        insert_record(tree, ranks, leaf)
+    tree.finalize()
+    return tree
 
 
 # --- structural invariant checks --------------------------------------------
@@ -334,13 +349,6 @@ def build_fp_tree(transactions, minsup: int) -> Base:
     return tree_from_weighted_paths(
         [(tuple(sorted((w for w in t if w in rank), key=rank.__getitem__)), 1)
          for t in txs], minsup)
-
-
-def mine_to_dict(records, sigma, grid, backend=None):
-    from spatialfp.engine import mine
-
-    patterns, _ = mine(records, sigma, grid, backend=backend)
-    return patterns_to_dict(patterns)
 
 
 # --- command line helpers ----------------------------------------------------

@@ -27,6 +27,7 @@ from helpers import (
     REF_GRID,
     REF_PATTERNS,
     build_fp_tree,
+    build_tree,
     check_header_consistency,
     check_mass_conservation,
     check_no_duplicates,
@@ -46,10 +47,9 @@ from spatialfp.formats import write_corpus
 from spatialfp.fptree import fp_growth
 from spatialfp.grid import BoundingBox, Gid, Grid, ancestor_at, gid_str
 from spatialfp.spatial_mining import patterns_to_dict
-from spatialfp.spatial_tree import build_tree
 
-# Synthetic corpus shape for the timing criteria, fixed after measuring
-# both backends: Zipf weights flat enough that the retained vocabulary
+# Synthetic corpus shape for the timing criteria, fixed after measuring:
+# Zipf weights flat enough that the retained vocabulary
 # keeps growing with N, which is what makes growth superlinear.
 SCALE_GRID = Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), 5)
 SCALE_VOCAB = 50_000
@@ -156,10 +156,8 @@ def test_c2_worked_micro_examples(capsys):
     what = "worked micro-examples"
     with announce_failure(capsys, "C2", what):
         # Four-record reference database: exactly six patterns.
-        for backend in engine.available_backends():
-            patterns, _ = engine.mine(reference_records(), 2, REF_GRID,
-                                      backend=backend)
-            assert patterns_to_dict(patterns) == REF_PATTERNS
+        patterns, _ = engine.mine(reference_records(), 2, REF_GRID)
+        assert patterns_to_dict(patterns) == REF_PATTERNS
         tree = build_tree(reference_records(), 2, REF_GRID)
         assert patterns_to_dict(mine_patterns(tree, [2, 2])) == REF_PATTERNS
 

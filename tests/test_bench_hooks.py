@@ -7,7 +7,9 @@ from the tracer's counts and from the mine summary. A renamed or
 uncalled hook turns a metric into a placeholder instead of a number, so
 this test runs the traced CLI on a tiny corpus and checks every source
 that ``LAYER_METRICS`` names. Both lists are read from the perfbench
-files themselves.
+files themselves. It also runs ``run.py``'s set-up probe and its
+``mine`` command line as ``run.py`` spells them, so that a change to the
+CLI that would break the benchmark fails here first.
 """
 
 import json
@@ -37,31 +39,59 @@ def perfbench_modules():
     return run, checker
 
 
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture(scope="module")
-def traced(tmp_path_factory):
-    """The result file of one traced ``mine`` run over a seeded corpus."""
-    tmp = tmp_path_factory.mktemp("bench_hooks")
+def corpus(tmp_path_factory):
+    """A seeded 400-record corpus inside the box of the ``traced`` run."""
+    path = tmp_path_factory.mktemp("bench_hooks") / "input.jsonl"
     rnd = random.Random(3)
-    corpus = tmp / "input.jsonl"
-    with open(corpus, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for i in range(400):
             words = rnd.sample(["w%d" % k for k in range(12)], rnd.randint(2, 5))
             # Half the records are free text, so the tokenizer runs too.
             rec = {"words": words} if i % 2 else {"text": " ".join(words)}
             rec.update(id=str(i), lon=rnd.uniform(-9.9, 9.9), lat=rnd.uniform(-4.9, 4.9))
             fh.write(json.dumps(rec) + "\n")
-    result_path = tmp / "result.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
+    return path
+
+
+@pytest.fixture(scope="module")
+def traced(corpus):
+    """The result file of one traced ``mine`` run over ``corpus``."""
+    result_path = corpus.parent / "result.json"
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "traced.py"), str(result_path), "mine",
-         "--input", str(corpus), "--output", str(tmp / "out.jsonl"),
+         "--input", str(corpus), "--output", str(corpus.parent / "out.jsonl"),
          "--bbox=-10,-5,10,5", "--height", str(HEIGHT), "--sigma", SIGMAS,
          "--backend", "pure"],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+        capture_output=True, text=True, env=_env(), cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(result_path.read_text(encoding="utf-8"))
+
+
+def test_benchmark_commands_still_run(perfbench_modules, corpus):
+    """The set-up probe and the mine command line of ``run.py`` work as
+    it spells them, on every workload's flags."""
+    run, checker = perfbench_modules
+    env = _env()
+    setup = subprocess.run([sys.executable, "-c", run.SETUP_CODE],
+                           capture_output=True, text=True, env=env, cwd=ROOT,
+                           timeout=60)
+    assert setup.returncode == 0, setup.stderr
+    for name, wl in sorted(run.corpora.WORKLOADS.items()):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spatialfp", "mine", "--input", str(corpus),
+             "--output", str(corpus.parent / f"{name}.jsonl"),
+             "--backend", "auto", *wl.mine_args()],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert checker.parse_summary(proc.stdout).get("backend") == "pure", name
 
 
 def _sources(run, kinds):

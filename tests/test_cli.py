@@ -7,14 +7,10 @@ import pytest
 
 from helpers import run_cli, summary_fields, write_reference_corpus
 from spatialfp import cli, engine, formats
-from spatialfp.engine import HAVE_SPEEDUPS
 from spatialfp.formats import FileSource, read_patterns
 from spatialfp.grid import METERS_PER_DEGREE, ROOT
 from spatialfp.spatial_mining import SpatialPattern
 from spatialfp.text import Vocabulary
-
-needs_fast = pytest.mark.skipif(not HAVE_SPEEDUPS,
-                                reason="compiled backend not built")
 
 GOLDEN_ROWS = [
     {"words": ["a"], "gid": "00", "level": 1, "count": 2},
@@ -57,7 +53,7 @@ def test_mine_golden_run(ref_corpus, tmp_path):
     assert fields["patterns level 1"] == "3"
     assert fields["patterns level 0"] == "3"
     assert fields["patterns total"] == "6"
-    assert fields["backend"] in {"pure", "fast"}
+    assert fields["backend"] == "pure"
     for key in ("first scan ms", "tree build ms", "growth ms"):
         assert float(fields[key]) >= 0.0
 
@@ -71,19 +67,6 @@ def test_mine_reruns_are_byte_identical(ref_corpus, tmp_path):
     run_cli("mine", "--input", ref_corpus, "--output", second,
             "--bbox", "0,0,4,4", "--height", "1", "--sigma", "2")
     assert first.read_bytes() == second.read_bytes()
-
-
-@needs_fast
-def test_mine_backends_write_identical_files(ref_corpus, tmp_path):
-    proc_p, out_p = _mine(ref_corpus, tmp_path, "--backend", "pure")
-    out_f = tmp_path / "fast.jsonl"
-    proc_f = run_cli("mine", "--input", ref_corpus, "--output", out_f,
-                     "--bbox", "0,0,4,4", "--height", "1", "--sigma", "2",
-                     "--backend", "fast")
-    assert proc_p.returncode == 0 and proc_f.returncode == 0
-    assert summary_fields(proc_p.stdout)["backend"] == "pure"
-    assert summary_fields(proc_f.stdout)["backend"] == "fast"
-    assert out_p.read_bytes() == out_f.read_bytes()
 
 
 def test_mine_per_level_sigma_list(ref_corpus, tmp_path):
@@ -124,6 +107,62 @@ def test_mine_aborts_when_too_many_lines_are_malformed(ref_corpus, tmp_path):
     assert proc.returncode == 1
     assert "malformed" in proc.stderr
     assert not out.exists()
+
+
+def test_mine_counts_a_line_that_is_not_utf8_as_malformed(ref_corpus, tmp_path):
+    with open(ref_corpus, "ab") as fh:
+        fh.write(b'{"words": ["b"], "lon": 1.0, "lat": 3.0}\n' * 6)
+    proc, out = _mine(ref_corpus, tmp_path)
+    assert summary_fields(proc.stdout)["malformed lines"] == "0"
+    clean = out.read_bytes()
+    lines = ref_corpus.read_bytes().splitlines(keepends=True)
+    lines.insert(7, b'{"words": ["caf\xff"], "lon": 1.0, "lat": 1.0}\n')
+    ref_corpus.write_bytes(b"".join(lines))
+    proc, out = _mine(ref_corpus, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    fields = summary_fields(proc.stdout)
+    assert fields["malformed lines"] == "1"
+    assert fields["records read"] == "11"
+    assert out.read_bytes() == clean
+
+
+def test_lines_that_are_not_utf8_count_toward_the_abort_guard(ref_corpus, tmp_path):
+    with open(ref_corpus, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    proc, out = _mine(ref_corpus, tmp_path)
+    assert proc.returncode == 1
+    assert "1 of 5 lines malformed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_stopword_file_that_is_not_utf8_is_an_error(ref_corpus, tmp_path):
+    stop = tmp_path / "stop.txt"
+    stop.write_bytes(b"the\n\xff\n")
+    proc, _ = _mine(ref_corpus, tmp_path, "--stopwords", stop)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_dict_out_round_trips_words_with_control_characters(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    words = ["a\nb", "c\\d", "e\tf", "g\rh", "\\n", "plain"]
+    corpus.write_text("".join(
+        json.dumps({"words": words[i:] + words[:i], "lon": 1.0, "lat": 1.0}) + "\n"
+        for i in range(3)), encoding="utf-8")
+    dict_path = tmp_path / "dict.tsv"
+    proc = run_cli("mine", "--input", corpus, "--output", tmp_path / "out.jsonl",
+                   "--bbox", "0,0,4,4", "--height", "1", "--sigma", "2",
+                   "--dict-out", dict_path)
+    assert proc.returncode == 0, proc.stderr
+    want = Vocabulary()
+    list(FileSource(str(corpus), want))
+    got = Vocabulary.load(str(dict_path))
+    assert len(got) == len(want) == len(words)
+    assert [got.word(i) for i in range(len(got))] == \
+        [want.word(i) for i in range(len(want))]
+    assert "5\tplain\n" in dict_path.read_text(encoding="utf-8")
 
 
 def _mine_in_process(ref_corpus, tmp_path):
@@ -298,21 +337,6 @@ def test_bench_table_shape(tmp_path):
     assert table_file.read_text(encoding="utf-8").strip() == proc.stdout.strip()
 
 
-@needs_fast
-def test_bench_compares_both_backends():
-    proc = run_cli("bench", "--bbox", "0,0,4,4", "--height", "1",
-                   "--records", "300", "--sigmas", "3", "--vocab", "50",
-                   "--words-mean", "4", "--backend", "both")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0].split("\t")[0] == "backend"
-    assert len(lines) == 3
-    backends = {line.split("\t")[0] for line in lines[1:]}
-    assert backends == {"pure", "fast"}
-    # Same instance, same sigma: both backends must count the same patterns.
-    assert len({line.split("\t")[6] for line in lines[1:]}) == 1
-
-
 def test_stats_reports_corpus_shape(tmp_path):
     corpus = tmp_path / "gen.jsonl"
     run_cli("gen", "--output", corpus, "--bbox", "0,0,4,4", "--height", "1",
@@ -360,6 +384,13 @@ def test_flag_validation_exits_2(args, code, needle):
     proc = run_cli(*args)
     assert proc.returncode == code
     assert needle in proc.stderr
+
+
+def test_mine_rejects_the_removed_fast_backend(ref_corpus, tmp_path):
+    proc, _ = _mine(ref_corpus, tmp_path, "--backend", "fast")
+    assert proc.returncode == 2
+    assert "argument --backend: invalid choice: 'fast'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_input_file_exits_1(tmp_path):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import REF_GRID, mine_patterns, reference_records
+from helpers import REF_GRID, build_tree, mine_patterns, reference_records
 from spatialfp.formats import (
     FileSource,
     MalformedRecord,
@@ -13,7 +13,7 @@ from spatialfp.formats import (
 )
 from spatialfp.grid import Gid, gid_str
 from spatialfp.spatial_mining import SpatialPattern
-from spatialfp.spatial_tree import WordTable, build_tree
+from spatialfp.spatial_tree import WordTable
 from spatialfp.text import Vocabulary
 
 NO_STOP = frozenset()

@@ -9,6 +9,7 @@ from helpers import (
     REF_GRID,
     REF_PATTERNS,
     UnknownEntry,
+    build_tree,
     cell_conditional_tree,
     check_no_duplicates,
     check_subset_closure,
@@ -31,7 +32,6 @@ from spatialfp.spatial_mining import (
     mine_tree,
     patterns_to_dict,
 )
-from spatialfp.spatial_tree import build_tree
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_mine_tree_wants_per_level_sigmas(ref_tree):
 
 def test_sort_patterns_restores_canonical_order(ref_tree):
     patterns = mine_patterns(ref_tree, [2, 2])
-    # Raw tuples the way FastMiner.mine emits them: ranks suffix first.
+    # Raw tuples the way mine_tree emits them: ranks suffix first.
     rank = ref_tree.words.rank
     raw = [(tuple(sorted((rank[w] for w in p.words), reverse=True)),
             p.gid.level, p.gid.code, p.count) for p in patterns]
@@ -179,9 +179,8 @@ def test_per_level_sigmas_match_the_brute_force_reference(height, shape):
         == set(range(height + 1))
     tree = build_tree(records, min(sigmas), grid)
     assert compare(patterns_to_dict(mine_patterns(tree, sigmas)), reference).ok
-    for backend in engine.available_backends():
-        patterns, _ = engine.mine(records, sigmas, grid, backend=backend)
-        assert compare(patterns_to_dict(patterns), reference).ok, backend
+    patterns, _ = engine.mine(records, sigmas, grid)
+    assert compare(patterns_to_dict(patterns), reference).ok
 
 
 @pytest.mark.parametrize("seed", [1, 8, 19, 33])

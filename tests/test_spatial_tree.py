@@ -10,6 +10,7 @@ from helpers import (
     C,
     FUZZ_BBOX,
     REF_GRID,
+    build_tree,
     check_header_consistency,
     check_mass_conservation,
     check_prefix_order,
@@ -33,7 +34,6 @@ from spatialfp.spatial_tree import (
     ScanStats,
     SpatialTree,
     WordTable,
-    build_tree,
     insert_record,
     scan_counts,
     sorted_records,
