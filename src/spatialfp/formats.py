@@ -144,12 +144,3 @@ def write_patterns(path: str, patterns: Sequence[SpatialPattern],
             words = ", ".join([frags[r] for r in sorted([rank[w] for w in p.words])])
             fh.write(f'{{"words": [{words}], {cell}, "count": {p.count}}}\n')
 
-
-def read_patterns(path: str) -> list[dict]:
-    """Parse a results file back into dicts (testing and inspection)."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out

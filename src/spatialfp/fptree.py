@@ -1,84 +1,97 @@
-"""Frequent-pattern growth over conditional bases, with no tree nodes.
+"""Frequent-itemset growth inside one conditional base, over int tidsets.
 
-A conditional base is a ``{path: weight}`` dict: each path is a tuple of
-items in one fixed order (the miner's items are word ranks, ascending),
-items below the minimum support are dropped, and equal paths are merged
-by summing their weights. Merging equal paths is the prefix sharing an
-FP-tree gets from its nodes (Han, Pei & Yin, SIGMOD 2000), kept here as
-plain tuples in the style of H-Mine (Pei et al., ICDM 2001). Growth
-takes, for each item of a base, the prefixes in front of it as the
-item's own conditional base and recurses, which enumerates every
-itemset meeting the minimum support exactly once.
+The SFP-tree, its (word, cell) header and one conditional base per
+frequent (word, cell), with no record rescans, are the paper's; only the
+non-spatial miner inside a base is a weighted Eclat (Zaki, TKDE 2000)
+rather than FP-growth. A base's paths hold items (word ranks) in one
+order, each path weighted by the records it stands for. Items below the
+minimum support are dropped and equal paths merged, and each distinct
+path becomes one bit: an item's tidset is the int of its paths' bits,
+and the weights are split into bit planes. An extension's tidset is the
+AND of two siblings' tidsets; its support is the sum over the planes of
+``(tids & plane).bit_count() << k``.
+
+The benchmark's tracer times bases and growth by wrapping these two
+functions where ``spatial_mining`` looks them up, so they keep the
+FP-tree miner's names until the run reports its own spans (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
-Base = dict[tuple[int, ...], int]
+
+class VerticalBase(list):
+    """``(item, tidset, support)`` per kept item, ascending support, and
+    ``planes``: ``(k, bits of the paths whose weight has bit k set)``."""
+
+    __slots__ = ("planes",)
 
 
 def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
-                             minsup: int) -> Base:
-    """The conditional base of (path, weight) pairs: items whose summed
-    weight misses ``minsup`` are dropped and equal paths merged.
-
-    Paths must all follow one order; dropping items preserves it. The
-    name predates bases. The benchmark's tracer counts conditional bases
-    through it, so renaming it waits for in-program spans (ROADMAP
-    item 1).
-    """
+                             minsup: int) -> VerticalBase:
+    """The vertical base of (path, weight) pairs, all in one order; it is
+    empty, so falsy, once no item's summed weight reaches ``minsup``."""
     totals: dict[int, int] = {}
     for path, weight in paths:
         if weight <= 0:
             raise ValueError(f"path weight must be positive, got {weight}")
         for item in path:
-            if item in totals:
-                totals[item] += weight
-            else:
-                totals[item] = weight
+            totals[item] = totals.get(item, 0) + weight
+    base = VerticalBase()
+    base.planes = []
     keep = {item for item, total in totals.items() if total >= minsup}
+    if not keep:
+        return base
     pruned = len(keep) < len(totals)
-    base: Base = {}
+    tids = dict.fromkeys(keep, 0)
+    bit_of: dict[tuple[int, ...], int] = {}
+    weights: list[int] = []
     for path, weight in paths:
         if pruned:
             path = tuple([item for item in path if item in keep])
-        if path in base:
-            base[path] += weight
+        b = bit_of.get(path)
+        if b is not None:
+            weights[b] += weight
         elif path:
-            base[path] = weight
+            bit_of[path] = len(weights)
+            bit = 1 << len(weights)
+            weights.append(weight)
+            for item in path:
+                tids[item] |= bit
+    base.planes = [(k, plane) for k in range(max(weights).bit_length())
+                   if (plane := sum([1 << b for b, w in enumerate(weights) if w >> k & 1]))]
+    base.extend(sorted([(item, tids[item], totals[item]) for item in keep],
+                       key=itemgetter(2)))
     return base
 
 
-def fp_growth(base: Base, minsup: int) -> dict[frozenset[int], int]:
-    """All itemsets with support >= minsup, mapped to their exact support."""
+def fp_growth(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], int]]:
+    """All itemsets with support >= minsup, as ``(items, support)`` pairs
+    with their exact support. Each itemset appears once."""
     if minsup < 1:
         raise ValueError(f"minsup must be >= 1, got {minsup}")
-    out: dict[frozenset[int], int] = {}
+    out: list[tuple[tuple[int, ...], int]] = []
+    planes = base.planes
+    # When every weight is the same power of two, one plane holds all bits.
+    single = planes[0][0] if len(planes) == 1 else -1
 
-    def walk(b: Base, suffix: frozenset[int]) -> None:
-        # Each item's support in ``b`` and the non-empty prefixes in front of it.
-        totals: dict[int, int] = {}
-        prefixes: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for path, weight in b.items():
-            for pos, item in enumerate(path):
-                if item in totals:
-                    totals[item] += weight
-                else:
-                    totals[item] = weight
-                    prefixes[item] = []
-                if pos:
-                    prefixes[item].append((path[:pos], weight))
-        for item, total in totals.items():
-            if total < minsup:
-                continue
-            items = suffix | {item}
-            out[items] = total
-            if prefixes[item]:
-                cond = tree_from_weighted_paths(prefixes[item], minsup)
-                if cond:
-                    walk(cond, items)
+    def walk(prefix: tuple[int, ...], siblings: list[tuple[int, int, int]]) -> None:
+        for i, (item, tids, support) in enumerate(siblings):
+            items = (*prefix, item)
+            out.append((items, support))
+            ext = []
+            for other, other_tids, _ in siblings[i + 1:]:
+                both = tids & other_tids
+                weight = (both.bit_count() << single if single >= 0 else
+                          sum([(both & plane).bit_count() << k for k, plane in planes]))
+                if weight >= minsup:
+                    ext.append((other, both, weight))
+            if ext:
+                ext.sort(key=itemgetter(2))
+                walk(items, ext)
 
-    walk(base, frozenset())
+    walk((), base)
     return out
-

@@ -1,15 +1,21 @@
 """Multi-level mining over the cell-annotated prefix tree, in rank space.
 
+As in the paper's SFP-growth, the SFP-tree and its (word, cell) header
+are built once, and each frequent (word, cell) gets one non-spatial
+conditional base from the tree, with no record rescans; only the miner
+inside a base is a weighted vertical (Eclat) search, in ``fptree``.
 Ranks are visited in reverse global order, each once for all levels. A
 rank's node entries, sorted by leaf cell, are sliced per (level, cell);
-for every (rank, cell) pair meeting that level's sigma the slice becomes
-a non-spatial conditional base, which fp_growth mines. Every pattern is
-emitted as a raw tuple at the cell where it reached the threshold, with
-its exact per-cell support; ``canonical`` sorts the tuples into patterns.
+each (rank, cell) pair meeting that level's sigma is a pattern, and its
+slice is its base unless the slice's whole weight misses sigma. Every
+pattern is emitted as a raw tuple at the cell where it reached the
+threshold, with its exact per-cell support; ``canonical`` sorts the
+tuples into patterns.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -93,10 +99,7 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
             if level < height:
                 folded: dict[int, int] = {}
                 for cell, count in totals.items():
-                    if cell >> 2 in folded:
-                        folded[cell >> 2] += count
-                    else:
-                        folded[cell >> 2] = count
+                    folded[cell >> 2] = folded.get(cell >> 2, 0) + count
                 totals = folded
             shift = 2 * (height - level)
             sigma = sigmas[level]
@@ -108,15 +111,14 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
                 hi = bisect_left(leaves, (anc + 1) << shift, lo)
                 weights: dict[int, int] = {}
                 for _, i, count in entries[lo:hi]:
-                    if i in weights:
-                        weights[i] += count
-                    else:
-                        weights[i] = count
+                    weights[i] = weights.get(i, 0) + count
+                if sum(weights.values()) < sigma:
+                    continue  # no item of the base can reach sigma
                 cond = tree_from_weighted_paths(
                     [(paths[i], weight) for i, weight in weights.items()], sigma)
                 if cond:
-                    for itemset, count in fp_growth(cond, sigma).items():
-                        out.append(((r, *itemset), level, anc, count))
+                    out.extend([((r, *items), level, anc, count)
+                                for items, count in fp_growth(cond, sigma)])
     return out
 
 
@@ -128,10 +130,17 @@ def canonical(raw: list[RawPattern], words: WordTable) -> list[SpatialPattern]:
         raw[i] = (-level, code, len(ranks), tuple(sorted(ranks)), count)
     raw.sort()
     order, gid = words.order, None
-    for i, (neg_level, code, _, ranks, count) in enumerate(raw):
-        if gid is None or code != gid.code or -neg_level != gid.level:
-            gid = Gid(-neg_level, code)
-        raw[i] = SpatialPattern(frozenset([order[r] for r in ranks]), gid, count)
+    # The patterns form no cycles, so the collector need not walk them.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, (neg_level, code, _, ranks, count) in enumerate(raw):
+            if gid is None or code != gid.code or -neg_level != gid.level:
+                gid = Gid(-neg_level, code)
+            raw[i] = SpatialPattern(frozenset([order[r] for r in ranks]), gid, count)
+    finally:
+        if enabled:
+            gc.enable()
     return raw
 
 

@@ -2,19 +2,37 @@
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
 from itertools import combinations
+from typing import Sequence
 
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
-from spatialfp.errors import SpatialFpError
-from spatialfp.fptree import Base, tree_from_weighted_paths
-from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
+from spatialfp.errors import InvalidLevel, SpatialFpError
+from spatialfp.grid import (BoundingBox, GeoPoint, Gid, Grid, ancestor_at, cell_bounds,
+                           encode, gid_str)
 from spatialfp.spatial_mining import canonical, mine_tree
 from spatialfp.spatial_tree import (CellTable, ScanStats, SpatialTree, WordTable,
                                    insert_record, scan_counts, sorted_records)
 from spatialfp.text import GeoRecord
+
+# --- grid cells only tests ask about ---------------------------------------
+
+
+def children_of(gid: Gid, height: int) -> list[Gid]:
+    """The four cells one level below ``gid``, in quadrant-digit order."""
+    if gid.level >= height:
+        raise InvalidLevel(f"cell at level {gid.level} has no children in a height-{height} grid")
+    base = gid.code << 2
+    return [Gid(gid.level + 1, base | q) for q in range(4)]
+
+
+def cell_center(gid: Gid, grid: Grid) -> GeoPoint:
+    lon0, lat0, lon1, lat1 = cell_bounds(gid, grid)
+    return GeoPoint((lon0 + lon1) / 2.0, (lat0 + lat1) / 2.0)
+
 
 # --- four-record reference database (grid height 1, sigma 2) ---------------
 #
@@ -270,6 +288,75 @@ def check_no_duplicates(patterns) -> None:
     assert len(keys) == len(set(keys))
 
 
+# --- reference growth over {path: weight} bases ------------------------------
+#
+# The horizontal miner ``fptree`` had before its vertical one, kept as the
+# differential reference. A base is a ``{path: weight}`` dict: equal
+# paths merged, items below the minimum support dropped. Growth takes,
+# for each item of a base, the prefixes in front of it as the item's own
+# conditional base and recurses (H-Mine style, Pei et al., ICDM 2001).
+
+Base = dict[tuple[int, ...], int]
+
+
+def path_base(paths: Sequence[tuple[tuple[int, ...], int]], minsup: int) -> Base:
+    """The ``{path: weight}`` base of (path, weight) pairs: items whose
+    summed weight misses ``minsup`` are dropped and equal paths merged."""
+    totals: dict[int, int] = {}
+    for path, weight in paths:
+        if weight <= 0:
+            raise ValueError(f"path weight must be positive, got {weight}")
+        for item in path:
+            if item in totals:
+                totals[item] += weight
+            else:
+                totals[item] = weight
+    keep = {item for item, total in totals.items() if total >= minsup}
+    pruned = len(keep) < len(totals)
+    base: Base = {}
+    for path, weight in paths:
+        if pruned:
+            path = tuple([item for item in path if item in keep])
+        if path in base:
+            base[path] += weight
+        elif path:
+            base[path] = weight
+    return base
+
+
+def path_growth(base: Base, minsup: int) -> dict[frozenset[int], int]:
+    """All itemsets with support >= minsup, mapped to their exact support."""
+    if minsup < 1:
+        raise ValueError(f"minsup must be >= 1, got {minsup}")
+    out: dict[frozenset[int], int] = {}
+
+    def walk(b: Base, suffix: frozenset[int]) -> None:
+        # Each item's support in ``b`` and the non-empty prefixes in front of it.
+        totals: dict[int, int] = {}
+        prefixes: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for path, weight in b.items():
+            for pos, item in enumerate(path):
+                if item in totals:
+                    totals[item] += weight
+                else:
+                    totals[item] = weight
+                    prefixes[item] = []
+                if pos:
+                    prefixes[item].append((path[:pos], weight))
+        for item, total in totals.items():
+            if total < minsup:
+                continue
+            items = suffix | {item}
+            out[items] = total
+            if prefixes[item]:
+                cond = path_base(prefixes[item], minsup)
+                if cond:
+                    walk(cond, items)
+
+    walk(base, frozenset())
+    return out
+
+
 # --- per-cell reference mining, composed step by step ----------------------
 
 
@@ -329,15 +416,12 @@ def cell_conditional_tree(tree: SpatialTree, wid: int, gid: Gid,
                      if leaf >> shift == gid.code)
         if weight:
             paths.append((node_path(tree, node)[:-1], weight))
-    return tree_from_weighted_paths(paths, sigma)
+    return path_base(paths, sigma)
 
 
-def build_fp_tree(transactions, minsup: int) -> Base:
-    """Two passes over a transaction list: count, order, filter, merge.
-
-    Paths hold the transactions' own items in the global order
-    (descending count, ties ascending item).
-    """
+def ordered_paths(transactions, minsup: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each transaction as a weight-1 path of its items that reach
+    ``minsup``, in the global order (descending count, ties ascending item)."""
     txs = [set(t) for t in transactions]
     counts: dict[int, int] = {}
     for t in txs:
@@ -346,12 +430,31 @@ def build_fp_tree(transactions, minsup: int) -> Base:
     order = sorted((w for w, c in counts.items() if c >= minsup),
                    key=lambda w: (-counts[w], w))
     rank = {w: i for i, w in enumerate(order)}
-    return tree_from_weighted_paths(
-        [(tuple(sorted((w for w in t if w in rank), key=rank.__getitem__)), 1)
-         for t in txs], minsup)
+    return [(tuple(sorted((w for w in t if w in rank), key=rank.__getitem__)), 1)
+            for t in txs]
+
+
+def build_fp_tree(transactions, minsup: int) -> Base:
+    """Two passes over a transaction list: count, order, filter, merge."""
+    return path_base(ordered_paths(transactions, minsup), minsup)
+
+
+def as_supports(itemsets) -> dict[frozenset[int], int]:
+    """``fptree.fp_growth``'s (items, support) pairs keyed by item set."""
+    return {frozenset(items): support for items, support in itemsets}
 
 
 # --- command line helpers ----------------------------------------------------
+
+
+def read_patterns(path: str) -> list[dict]:
+    """Parse a results file back into dicts."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                out.append(json.loads(line))
+    return out
 
 
 def run_cli(*args, env=None):

@@ -26,7 +26,7 @@ from helpers import (
     FUZZ_BBOX,
     REF_GRID,
     REF_PATTERNS,
-    build_fp_tree,
+    as_supports,
     build_tree,
     check_header_consistency,
     check_mass_conservation,
@@ -36,6 +36,7 @@ from helpers import (
     check_upward_closure,
     fuzz_instance,
     mine_patterns,
+    ordered_paths,
     reference_records,
     run_cli,
     summary_fields,
@@ -44,7 +45,7 @@ from helpers import (
 from spatialfp import engine, oracle
 from spatialfp.datagen import GenConfig, PlantedPattern, generate, word_name
 from spatialfp.formats import write_corpus
-from spatialfp.fptree import fp_growth
+from spatialfp.fptree import fp_growth, tree_from_weighted_paths
 from spatialfp.grid import BoundingBox, Gid, Grid, ancestor_at, gid_str
 from spatialfp.spatial_mining import patterns_to_dict
 
@@ -162,7 +163,8 @@ def test_c2_worked_micro_examples(capsys):
         assert patterns_to_dict(mine_patterns(tree, [2, 2])) == REF_PATTERNS
 
         # Five-transaction database: exactly eight itemsets at minsup 2.
-        got = fp_growth(build_fp_tree(DINING_TRANSACTIONS, 2), 2)
+        paths = ordered_paths(DINING_TRANSACTIONS, 2)
+        got = as_supports(fp_growth(tree_from_weighted_paths(paths, 2), 2))
         assert got == DINING_EXPECTED
 
         # Cell id hierarchy walk.

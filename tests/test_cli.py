@@ -5,9 +5,9 @@ from unittest.mock import Mock
 
 import pytest
 
-from helpers import run_cli, summary_fields, write_reference_corpus
+from helpers import read_patterns, run_cli, summary_fields, write_reference_corpus
 from spatialfp import cli, engine, formats
-from spatialfp.formats import FileSource, read_patterns
+from spatialfp.formats import FileSource
 from spatialfp.grid import METERS_PER_DEGREE, ROOT
 from spatialfp.spatial_mining import SpatialPattern
 from spatialfp.text import Vocabulary

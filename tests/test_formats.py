@@ -2,12 +2,11 @@ import json
 
 import pytest
 
-from helpers import REF_GRID, build_tree, mine_patterns, reference_records
+from helpers import REF_GRID, build_tree, mine_patterns, read_patterns, reference_records
 from spatialfp.formats import (
     FileSource,
     MalformedRecord,
     parse_record_line,
-    read_patterns,
     write_corpus,
     write_patterns,
 )

@@ -17,13 +17,13 @@ from helpers import (
     fuzz_instance,
     level_table,
     mine_patterns,
+    path_growth,
     reference_records,
     reverse_entries,
 )
-from spatialfp import engine
+from spatialfp import engine, spatial_mining
 from spatialfp.datagen import GenConfig, generate
-from spatialfp.fptree import fp_growth
-from spatialfp.grid import ROOT, Gid, Grid
+from spatialfp.grid import ROOT, GeoPoint, Gid, Grid
 from spatialfp.oracle import compare, reference_patterns
 from spatialfp.spatial_mining import (
     SpatialPattern,
@@ -32,6 +32,7 @@ from spatialfp.spatial_mining import (
     mine_tree,
     patterns_to_dict,
 )
+from spatialfp.text import GeoRecord
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ def test_cell_conditional_tree_examples(ref_tree):
     # b conditioned on the lower-left cell: one prefix path [a] weight 2.
     cond = cell_conditional_tree(ref_tree, B, Gid(1, 0b00), 2)
     assert cond == {(A,): 2}
-    assert fp_growth(cond, 2) == {frozenset({A}): 2}
+    assert path_growth(cond, 2) == {frozenset({A}): 2}
 
     # At the root, b's second node contributes an empty prefix; a still
     # reaches the threshold only through the deep node.
@@ -110,6 +111,30 @@ def test_mine_tree_wants_per_level_sigmas(ref_tree):
         mine_tree(ref_tree, [2])
 
 
+def test_slices_below_sigma_never_build_a_base(monkeypatch):
+    shortfalls = []
+    build = spatial_mining.tree_from_weighted_paths
+
+    def spy(paths, minsup):
+        shortfalls.append(minsup - sum(weight for _, weight in paths))
+        return build(paths, minsup)
+
+    monkeypatch.setattr(spatial_mining, "tree_from_weighted_paths", spy)
+    # a and b occur three times each in one cell; b's one non-empty
+    # prefix path, [a], has weight 1, below sigma 2, and a has none.
+    records = [GeoRecord(str(i), frozenset(words), GeoPoint(1.0, 1.0))
+               for i, words in enumerate([{A}, {A}, {A, B}, {B}, {B}])]
+    tree = build_tree(records, 2, REF_GRID)
+    assert patterns_to_dict(mine_patterns(tree, [2, 2])) == {
+        (frozenset({A}), 1, 0): 3, (frozenset({B}), 1, 0): 3,
+        (frozenset({A}), 0, 0): 3, (frozenset({B}), 0, 0): 3}
+    assert shortfalls == []
+    for seed in range(6):
+        records, grid, sigma = fuzz_instance(seed)
+        mine_tree(build_tree(records, sigma, grid), [sigma] * (grid.height + 1))
+    assert shortfalls and max(shortfalls) <= 0
+
+
 def test_sort_patterns_restores_canonical_order(ref_tree):
     patterns = mine_patterns(ref_tree, [2, 2])
     # Raw tuples the way mine_tree emits them: ranks suffix first.
@@ -134,7 +159,7 @@ def _composed_mine(tree, sigmas):
             gid = Gid(level, code)
             found[(frozenset({wid}), level, code)] = count
             cond = cell_conditional_tree(tree, wid, gid, sigma)
-            for itemset, c in fp_growth(cond, sigma).items():
+            for itemset, c in path_growth(cond, sigma).items():
                 found[(itemset | {wid}, level, code)] = c
     return found
 
