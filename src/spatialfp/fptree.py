@@ -39,14 +39,20 @@ def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
         if weight <= 0:
             raise ValueError(f"path weight must be positive, got {weight}")
         for item in path:
-            totals[item] = totals.get(item, 0) + weight
+            if item in totals:
+                totals[item] += weight
+            else:
+                totals[item] = weight
     base = VerticalBase()
     base.planes = []
     keep = {item for item, total in totals.items() if total >= minsup}
     if not keep:
         return base
     pruned = len(keep) < len(totals)
-    tids = dict.fromkeys(keep, 0)
+    # Each int is built once, from a buffer or a string of its bits: an
+    # ``|=`` per path would copy the growing int, quadratic in the paths.
+    size = (len(paths) + 7) >> 3
+    tids = {item: bytearray(size) for item in keep}
     bit_of: dict[tuple[int, ...], int] = {}
     weights: list[int] = []
     for path, weight in paths:
@@ -56,15 +62,15 @@ def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
         if b is not None:
             weights[b] += weight
         elif path:
-            bit_of[path] = len(weights)
-            bit = 1 << len(weights)
+            b = bit_of[path] = len(weights)
             weights.append(weight)
+            byte, bit = b >> 3, 1 << (b & 7)
             for item in path:
-                tids[item] |= bit
+                tids[item][byte] |= bit
     base.planes = [(k, plane) for k in range(max(weights).bit_length())
-                   if (plane := sum([1 << b for b, w in enumerate(weights) if w >> k & 1]))]
-    base.extend(sorted([(item, tids[item], totals[item]) for item in keep],
-                       key=itemgetter(2)))
+                   if (plane := int("".join(["01"[w >> k & 1] for w in reversed(weights)]), 2))]
+    base.extend(sorted([(item, int.from_bytes(tids[item], "little"), totals[item])
+                        for item in keep], key=itemgetter(2)))
     return base
 
 
@@ -75,8 +81,6 @@ def fp_growth(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], in
         raise ValueError(f"minsup must be >= 1, got {minsup}")
     out: list[tuple[tuple[int, ...], int]] = []
     planes = base.planes
-    # When every weight is the same power of two, one plane holds all bits.
-    single = planes[0][0] if len(planes) == 1 else -1
 
     def walk(prefix: tuple[int, ...], siblings: list[tuple[int, int, int]]) -> None:
         for i, (item, tids, support) in enumerate(siblings):
@@ -85,8 +89,7 @@ def fp_growth(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], in
             ext = []
             for other, other_tids, _ in siblings[i + 1:]:
                 both = tids & other_tids
-                weight = (both.bit_count() << single if single >= 0 else
-                          sum([(both & plane).bit_count() << k for k, plane in planes]))
+                weight = sum([(both & plane).bit_count() << k for k, plane in planes])
                 if weight >= minsup:
                     ext.append((other, both, weight))
             if ext:

@@ -15,7 +15,6 @@ tuples into patterns.
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -99,7 +98,10 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
             if level < height:
                 folded: dict[int, int] = {}
                 for cell, count in totals.items():
-                    folded[cell >> 2] = folded.get(cell >> 2, 0) + count
+                    if cell >> 2 in folded:
+                        folded[cell >> 2] += count
+                    else:
+                        folded[cell >> 2] = count
                 totals = folded
             shift = 2 * (height - level)
             sigma = sigmas[level]
@@ -111,7 +113,10 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
                 hi = bisect_left(leaves, (anc + 1) << shift, lo)
                 weights: dict[int, int] = {}
                 for _, i, count in entries[lo:hi]:
-                    weights[i] = weights.get(i, 0) + count
+                    if i in weights:
+                        weights[i] += count
+                    else:
+                        weights[i] = count
                 if sum(weights.values()) < sigma:
                     continue  # no item of the base can reach sigma
                 cond = tree_from_weighted_paths(
@@ -130,17 +135,10 @@ def canonical(raw: list[RawPattern], words: WordTable) -> list[SpatialPattern]:
         raw[i] = (-level, code, len(ranks), tuple(sorted(ranks)), count)
     raw.sort()
     order, gid = words.order, None
-    # The patterns form no cycles, so the collector need not walk them.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i, (neg_level, code, _, ranks, count) in enumerate(raw):
-            if gid is None or code != gid.code or -neg_level != gid.level:
-                gid = Gid(-neg_level, code)
-            raw[i] = SpatialPattern(frozenset([order[r] for r in ranks]), gid, count)
-    finally:
-        if enabled:
-            gc.enable()
+    for i, (neg_level, code, _, ranks, count) in enumerate(raw):
+        if gid is None or code != gid.code or -neg_level != gid.level:
+            gid = Gid(-neg_level, code)
+        raw[i] = SpatialPattern(frozenset([order[r] for r in ranks]), gid, count)
     return raw
 
 

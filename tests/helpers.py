@@ -10,29 +10,12 @@ from itertools import combinations
 from typing import Sequence
 
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
-from spatialfp.errors import InvalidLevel, SpatialFpError
-from spatialfp.grid import (BoundingBox, GeoPoint, Gid, Grid, ancestor_at, cell_bounds,
-                           encode, gid_str)
+from spatialfp.errors import SpatialFpError
+from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
 from spatialfp.spatial_mining import canonical, mine_tree
 from spatialfp.spatial_tree import (CellTable, ScanStats, SpatialTree, WordTable,
                                    insert_record, scan_counts, sorted_records)
 from spatialfp.text import GeoRecord
-
-# --- grid cells only tests ask about ---------------------------------------
-
-
-def children_of(gid: Gid, height: int) -> list[Gid]:
-    """The four cells one level below ``gid``, in quadrant-digit order."""
-    if gid.level >= height:
-        raise InvalidLevel(f"cell at level {gid.level} has no children in a height-{height} grid")
-    base = gid.code << 2
-    return [Gid(gid.level + 1, base | q) for q in range(4)]
-
-
-def cell_center(gid: Gid, grid: Grid) -> GeoPoint:
-    lon0, lat0, lon1, lat1 = cell_bounds(gid, grid)
-    return GeoPoint((lon0 + lon1) / 2.0, (lat0 + lat1) / 2.0)
-
 
 # --- four-record reference database (grid height 1, sigma 2) ---------------
 #

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,3 +130,12 @@ def test_vertical_growth_matches_the_path_reference(paths, data):
             totals[item] = totals.get(item, 0) + weight
     minsup = data.draw(st.integers(min_value=1, max_value=max(totals.values()) + 1))
     assert mine(paths, minsup) == path_growth(path_base(paths, minsup), minsup)
+
+
+def test_vertical_growth_on_a_base_of_many_paths():
+    # About 3,000 distinct paths: each tidset spans many machine words.
+    rnd = random.Random(5)
+    paths = [(tuple(sorted(rnd.sample(range(24), 5))), rnd.randint(1, 9)) for _ in range(3000)]
+    base = tree_from_weighted_paths(paths, 400)
+    assert max(tids.bit_length() for _, tids, _ in base) > 2000
+    assert mine(paths, 400) == path_growth(path_base(paths, 400), 400)

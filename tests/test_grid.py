@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_center, children_of
 from spatialfp.errors import InvalidLevel, MalformedGid, PointOutOfBounds
 from spatialfp.grid import (
     MAX_HEIGHT,
@@ -16,6 +15,8 @@ from spatialfp.grid import (
     Grid,
     ancestor_at,
     cell_bounds,
+    cell_center,
+    children_of,
     choose_height,
     encode,
     gid_str,
