@@ -102,7 +102,7 @@ def cmd_mine(args) -> int:
 
     patterns, report = engine.mine(source, sigmas, grid, backend=args.backend,
                                    after_scan=guard)
-    write_patterns(args.output, patterns, report.words, vocab)
+    write_patterns(args.output, patterns, vocab)
     if args.dict_out:
         vocab.save(args.dict_out)
 

@@ -2,19 +2,20 @@
 
 Pass two turns the in-box records into sorted rank tuples, which build
 the flat-array ``SpatialTree``; ``mine_tree`` emits raw tuples, which
-``canonical`` sorts into patterns.
+``canonical`` sorts into the rows of the ``Patterns`` result.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .grid import Grid
-from .spatial_mining import SpatialPattern, canonical, expand_sigmas, mine_tree
-from .spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
-                           scan_counts, sorted_records)
+from .spatial_mining import Patterns, canonical, expand_sigmas, mine_tree
+from .spatial_tree import (ScanStats, SpatialTree, insert_record, scan_counts,
+                           sorted_records)
 from .text import GeoRecord
 
 
@@ -40,7 +41,6 @@ class MineReport:
     tree_build_ms: float = 0.0
     growth_ms: float = 0.0
     patterns_by_level: dict[int, int] = field(default_factory=dict)
-    words: "WordTable | None" = None  # retained-word table, for rendering
 
     @property
     def pattern_count(self) -> int:
@@ -50,7 +50,7 @@ class MineReport:
 def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
          backend: str | None = None,
          after_scan: Callable[[], None] | None = None,
-         ) -> tuple[list[SpatialPattern], MineReport]:
+         ) -> tuple[Patterns, MineReport]:
     """Mine a record source, read once; returns sorted patterns plus a report.
 
     ``source`` is any iterable of records, a one-shot generator included.
@@ -87,9 +87,5 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     report.first_scan_ms = (t1 - t0) * 1000.0
     report.tree_build_ms = (t2 - t1) * 1000.0
     report.growth_ms = (t3 - t2) * 1000.0
-    by_level: dict[int, int] = {}
-    for p in patterns:
-        by_level[p.gid.level] = by_level.get(p.gid.level, 0) + 1
-    report.patterns_by_level = by_level
-    report.words = words
+    report.patterns_by_level = dict(Counter([-row[0] for row in patterns.rows]))
     return patterns, report

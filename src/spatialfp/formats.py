@@ -3,7 +3,7 @@
 Records are UTF-8 lines of flat JSON objects with fields ``id``
 (optional), ``text`` or ``words`` (pre-tokenized array, which wins if
 both are present), ``lon`` and ``lat``. Results are one JSON object per
-pattern: ``words`` (canonical order), ``gid`` (quadrant-bit string),
+pattern row: ``words`` (canonical order), ``gid`` (quadrant-bit string),
 ``level`` and ``count``.
 """
 
@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .grid import GeoPoint, Gid, gid_str
-from .spatial_mining import SpatialPattern
-from .spatial_tree import WordTable
+from .spatial_mining import Patterns
 from .text import GeoRecord, Stemmer, Vocabulary, refine, tokenize
 
 
@@ -128,19 +127,16 @@ def write_corpus(path: str, records: Iterable[GeoRecord],
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def write_patterns(path: str, patterns: Sequence[SpatialPattern],
-                   table: WordTable, vocab: Vocabulary) -> None:
-    """One JSON object per pattern, as ``json.dumps(..., ensure_ascii=False)``
-    writes it, with the words in canonical order: descending global
-    frequency, then id. Each word's JSON string is rendered once."""
-    rank = table.rank
-    frags = [json.dumps(vocab.word(w), ensure_ascii=False) for w in table.order]
-    gid = None
+def write_patterns(path: str, patterns: Patterns, vocab: Vocabulary) -> None:
+    """One JSON object per row, as ``json.dumps(..., ensure_ascii=False)``
+    writes it, the words in canonical order (descending global frequency,
+    then id) straight from the row's sorted ranks, each rendered once."""
+    frags = [json.dumps(vocab.word(w), ensure_ascii=False) for w in patterns.words.order]
+    cell = None
     with open(path, "w", encoding="utf-8") as fh:
-        for p in patterns:
-            if p.gid != gid:
-                gid = p.gid
-                cell = f'"gid": "{gid_str(gid)}", "level": {gid.level}'
-            words = ", ".join([frags[r] for r in sorted([rank[w] for w in p.words])])
-            fh.write(f'{{"words": [{words}], {cell}, "count": {p.count}}}\n')
-
+        for neg_level, code, _, ranks, count in patterns.rows:
+            if cell != (neg_level, code):
+                cell = (neg_level, code)
+                head = f'"gid": "{gid_str(Gid(-neg_level, code))}", "level": {-neg_level}'
+            words = ", ".join([frags[r] for r in ranks])
+            fh.write(f'{{"words": [{words}], {head}, "count": {count}}}\n')

@@ -4,17 +4,16 @@ The SFP-tree, its (word, cell) header and one conditional base per
 frequent (word, cell), with no record rescans, are the paper's; only the
 non-spatial miner inside a base is a weighted Eclat (Zaki, TKDE 2000)
 rather than FP-growth. A base's paths hold items (word ranks) in one
-order, each path weighted by the records it stands for. Items below the
-minimum support are dropped and equal paths merged, and each distinct
-path becomes one bit: an item's tidset is the int of its paths' bits,
-and the weights are split into bit planes. An extension's tidset is the
-AND of two siblings' tidsets; its support is the sum over the planes of
-``(tids & plane).bit_count() << k``.
+order, each weighted by the records it stands for. Items below the
+minimum support are dropped and each (path, weight) pair becomes one
+bit, so a cell's pairs, a bit range, are that cell's base. An item's
+tidset is the int of its paths' bits, and the weights are split into
+bit planes. An extension's tidset is the AND of two siblings' tidsets;
+its support is the sum over the planes of ``(tids & plane).bit_count() << k``.
 
-The benchmark's tracer times bases and growth by wrapping these two
-functions where ``spatial_mining`` looks them up, so they keep the
-FP-tree miner's names until the run reports its own spans (ROADMAP
-item 1).
+The benchmark's tracer times base builds and growth by wrapping
+``tree_from_weighted_paths`` and ``fp_growth`` where ``spatial_mining``
+looks them up, so they keep the FP-tree miner's names (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ class VerticalBase(list):
 
 def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
                              minsup: int) -> VerticalBase:
-    """The vertical base of (path, weight) pairs, all in one order; it is
-    empty, so falsy, once no item's summed weight reaches ``minsup``."""
+    """The vertical base of (path, weight) pairs in one order, pair ``i`` as
+    bit ``i``; empty, so falsy, once no item's summed weight reaches ``minsup``."""
     totals: dict[int, int] = {}
     for path, weight in paths:
         if weight <= 0:
@@ -48,30 +47,37 @@ def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
     keep = {item for item, total in totals.items() if total >= minsup}
     if not keep:
         return base
-    pruned = len(keep) < len(totals)
     # Each int is built once, from a buffer or a string of its bits: an
     # ``|=`` per path would copy the growing int, quadratic in the paths.
     size = (len(paths) + 7) >> 3
     tids = {item: bytearray(size) for item in keep}
-    bit_of: dict[tuple[int, ...], int] = {}
-    weights: list[int] = []
-    for path, weight in paths:
-        if pruned:
-            path = tuple([item for item in path if item in keep])
-        b = bit_of.get(path)
-        if b is not None:
-            weights[b] += weight
-        elif path:
-            b = bit_of[path] = len(weights)
-            weights.append(weight)
-            byte, bit = b >> 3, 1 << (b & 7)
-            for item in path:
+    for b, (path, _) in enumerate(paths):
+        byte, bit = b >> 3, 1 << (b & 7)
+        for item in path:
+            if item in tids:
                 tids[item][byte] |= bit
+    weights = [weight for _, weight in reversed(paths)]
     base.planes = [(k, plane) for k in range(max(weights).bit_length())
-                   if (plane := int("".join(["01"[w >> k & 1] for w in reversed(weights)]), 2))]
+                   if (plane := int("".join(["01"[w >> k & 1] for w in weights]), 2))]
     base.extend(sorted([(item, int.from_bytes(tids[item], "little"), totals[item])
                         for item in keep], key=itemgetter(2)))
     return base
+
+
+def cell_base(base: VerticalBase, lo: int, hi: int, minsup: int) -> VerticalBase:
+    """The vertical base of bits ``[lo, hi)`` of ``base``, renumbered from
+    0, keeping the items whose support there reaches ``minsup``."""
+    mask = (1 << (hi - lo)) - 1
+    cell = VerticalBase()
+    cell.planes = planes = [(k, bits) for k, plane in base.planes
+                            if (bits := plane >> lo & mask)]
+    for item, tids, _ in base:
+        if tids := tids >> lo & mask:
+            support = sum([(tids & plane).bit_count() << k for k, plane in planes])
+            if support >= minsup:
+                cell.append((item, tids, support))
+    cell.sort(key=itemgetter(2))
+    return cell
 
 
 def fp_growth(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], int]]:

@@ -1,16 +1,15 @@
 """Multi-level mining over the cell-annotated prefix tree, in rank space.
 
 As in the paper's SFP-growth, the SFP-tree and its (word, cell) header
-are built once, and each frequent (word, cell) gets one non-spatial
-conditional base from the tree, with no record rescans; only the miner
+are built once, and each frequent (word, cell) gets exactly its
+non-spatial conditional base, with no record rescans; only the miner
 inside a base is a weighted vertical (Eclat) search, in ``fptree``.
 Ranks are visited in reverse global order, each once for all levels. A
-rank's node entries, sorted by leaf cell, are sliced per (level, cell);
-each (rank, cell) pair meeting that level's sigma is a pattern, and its
-slice is its base unless the slice's whole weight misses sigma. Every
-pattern is emitted as a raw tuple at the cell where it reached the
-threshold, with its exact per-cell support; ``canonical`` sorts the
-tuples into patterns.
+rank's node entries, sorted by leaf, make the word's one vertical base;
+quad-tree cells nest, so each cell's base is a leaf-code bit range of
+it. Every pattern is emitted as a raw tuple at the cell where it reached
+the threshold, with its exact per-cell support; ``canonical`` sorts the
+tuples into the rows of a ``Patterns`` result.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .fptree import fp_growth, tree_from_weighted_paths
+from .fptree import cell_base, fp_growth, tree_from_weighted_paths
 from .grid import Gid
 from .spatial_tree import SpatialTree, WordTable
 
@@ -68,8 +67,9 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
     ``(ranks, level, code, count)`` tuples with the ranks suffix first.
 
     Visits each rank once: its nodes' prefix paths are walked once, and
-    their (leaf, node, count) entries are sorted by leaf, so that the
-    entries of any cell at any level are one contiguous slice.
+    their (leaf, node, count) entries are sorted by leaf into one
+    vertical base, so that the base of any cell at any level is one
+    contiguous bit range of it.
     """
     height = tree.height
     if len(sigmas) != height + 1:
@@ -78,6 +78,7 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
         raise RuntimeError("the tree is read only after finalize()")
     start, cell_leaf, cell_count = tree.cell_start, tree.cell_leaf, tree.cell_count
     order = tree.words.order
+    floor = min(sigmas)
     out: list[RawPattern] = []
     for r in range(len(order) - 1, -1, -1):
         # Nodes right under the root have an empty prefix and add nothing
@@ -92,7 +93,9 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
                 lo, hi = start[node], start[node + 1]
                 entries.extend(zip(cell_leaf[lo:hi], repeat(i), cell_count[lo:hi]))
         entries.sort()
-        leaves = [e[0] for e in entries]
+        pairs = [(paths[i], count) for _, i, count in entries]
+        # Below the floor in all, no item of the word reaches any sigma.
+        base = sum([e[2] for e in entries]) >= floor and tree_from_weighted_paths(pairs, floor)
         totals = tree.header.cells_of(order[r])
         for level in range(height, -1, -1):
             if level < height:
@@ -109,37 +112,51 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
                 if total < sigma:
                     continue
                 out.append(((r,), level, anc, total))
-                lo = bisect_left(leaves, anc << shift)
-                hi = bisect_left(leaves, (anc + 1) << shift, lo)
-                weights: dict[int, int] = {}
-                for _, i, count in entries[lo:hi]:
-                    if i in weights:
-                        weights[i] += count
-                    else:
-                        weights[i] = count
-                if sum(weights.values()) < sigma:
-                    continue  # no item of the base can reach sigma
-                cond = tree_from_weighted_paths(
-                    [(paths[i], weight) for i, weight in weights.items()], sigma)
-                if cond:
-                    out.extend([((r, *items), level, anc, count)
-                                for items, count in fp_growth(cond, sigma)])
+                if base:  # a 1-tuple (leaf,) sorts before that leaf's entries
+                    cond = cell_base(base, bisect_left(entries, (anc << shift,)),
+                                     bisect_left(entries, ((anc + 1) << shift,)), sigma)
+                    if cond:
+                        out.extend([((r, *items), level, anc, count)
+                                    for items, count in fp_growth(cond, sigma)])
     return out
 
 
-def canonical(raw: list[RawPattern], words: WordTable) -> list[SpatialPattern]:
-    """Raw tuples, ranks in any order, turned in place into patterns in
-    canonical order: level descending, then cell, size and ranks. The
-    patterns of one cell share one ``Gid``."""
+class Patterns(Sequence[SpatialPattern]):
+    """Patterns in canonical order, kept as sorted ``(-level, code, size,
+    ranks, count)`` rows plus the ``WordTable`` naming their ranks; each is
+    built when read, and in-order iteration shares one ``Gid`` per cell."""
+
+    def __init__(self, rows: list[tuple[int, int, int, tuple[int, ...], int]],
+                 words: WordTable):
+        self.rows = rows
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Patterns(self.rows[i], self.words)
+        return next(iter(Patterns([self.rows[i]], self.words)))
+
+    def __iter__(self):
+        order, gid = self.words.order, None
+        for neg_level, code, _, ranks, count in self.rows:
+            if gid is None or code != gid.code or -neg_level != gid.level:
+                gid = Gid(-neg_level, code)
+            yield SpatialPattern(frozenset([order[r] for r in ranks]), gid, count)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Patterns)) else NotImplemented
+
+
+def canonical(raw: list[RawPattern], words: WordTable) -> Patterns:
+    """Raw tuples, ranks in any order, re-keyed in place and sorted into
+    canonical order: level descending, then cell, size and ranks."""
     for i, (ranks, level, code, count) in enumerate(raw):
         raw[i] = (-level, code, len(ranks), tuple(sorted(ranks)), count)
     raw.sort()
-    order, gid = words.order, None
-    for i, (neg_level, code, _, ranks, count) in enumerate(raw):
-        if gid is None or code != gid.code or -neg_level != gid.level:
-            gid = Gid(-neg_level, code)
-        raw[i] = SpatialPattern(frozenset([order[r] for r in ranks]), gid, count)
-    return raw
+    return Patterns(raw, words)
 
 
 def patterns_to_dict(patterns: Iterable[SpatialPattern]) -> dict[tuple[frozenset[int], int, int], int]:

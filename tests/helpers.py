@@ -12,7 +12,7 @@ from typing import Sequence
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
 from spatialfp.errors import SpatialFpError
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
-from spatialfp.spatial_mining import canonical, mine_tree
+from spatialfp.spatial_mining import Patterns, SpatialPattern, canonical, mine_tree
 from spatialfp.spatial_tree import (CellTable, ScanStats, SpatialTree, WordTable,
                                    insert_record, scan_counts, sorted_records)
 from spatialfp.text import GeoRecord
@@ -347,9 +347,32 @@ class UnknownEntry(SpatialFpError):
     """A word that is not part of the structure being queried."""
 
 
-def mine_patterns(tree: SpatialTree, sigmas) -> list:
+def mine_patterns(tree: SpatialTree, sigmas) -> Patterns:
     """``mine_tree`` plus the canonical sort, as ``engine.mine`` does it."""
     return canonical(mine_tree(tree, sigmas), tree.words)
+
+
+def canonical_patterns(raw, words: WordTable) -> list[SpatialPattern]:
+    """The reference for ``canonical``: raw tuples, ranks in any order,
+    turned into a list of pattern objects in canonical order (level
+    descending, then cell, size and ranks), one ``Gid`` per cell."""
+    rows = sorted((-level, code, len(ranks), tuple(sorted(ranks)), count)
+                  for ranks, level, code, count in raw)
+    order, gid, out = words.order, None, []
+    for neg_level, code, _, ranks, count in rows:
+        if gid is None or code != gid.code or -neg_level != gid.level:
+            gid = Gid(-neg_level, code)
+        out.append(SpatialPattern(frozenset([order[r] for r in ranks]), gid, count))
+    return out
+
+
+def as_result(patterns, words: WordTable) -> Patterns:
+    """Pattern objects as the rows of a ``Patterns`` result, in the order
+    given, for feeding the writer hand-made input."""
+    rank = words.rank
+    return Patterns([(-p.gid.level, p.gid.code, len(p.words),
+                      tuple(sorted(rank[w] for w in p.words)), p.count)
+                     for p in patterns], words)
 
 
 def header_items(header: CellTable, wids):

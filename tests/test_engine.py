@@ -31,7 +31,7 @@ def test_mine_reference_db(backend):
     assert report.cell_entries == 4
     assert report.patterns_by_level == {1: 3, 0: 3}
     assert report.pattern_count == 6
-    assert isinstance(report.words, WordTable)
+    assert isinstance(patterns.words, WordTable)
     for ms in (report.first_scan_ms, report.tree_build_ms, report.growth_ms):
         assert ms >= 0.0
 

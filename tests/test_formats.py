@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from helpers import REF_GRID, build_tree, mine_patterns, read_patterns, reference_records
+from helpers import (
+    REF_GRID,
+    as_result,
+    build_tree,
+    mine_patterns,
+    read_patterns,
+    reference_records,
+)
 from spatialfp.formats import (
     FileSource,
     MalformedRecord,
@@ -133,7 +140,7 @@ def test_pattern_file_roundtrip(tmp_path):
     tree = build_tree(reference_records(), 2, REF_GRID)
     patterns = mine_patterns(tree, [2, 2])
     path = tmp_path / "patterns.jsonl"
-    write_patterns(str(path), patterns, tree.words, vocab)
+    write_patterns(str(path), patterns, vocab)
 
     rows = read_patterns(str(path))
     assert rows == [
@@ -156,8 +163,8 @@ def test_render_words_uses_global_order(tmp_path):
     tree = build_tree(reference_records(), 2, REF_GRID)
     # wid 0 ranks before wid 1 here; renaming must not change that.
     path = tmp_path / "patterns.jsonl"
-    write_patterns(str(path), [SpatialPattern(frozenset({0, 1}), Gid(0, 0), 2)],
-                   tree.words, vocab)
+    write_patterns(str(path), as_result([SpatialPattern(frozenset({0, 1}), Gid(0, 0), 2)],
+                                        tree.words), vocab)
     assert read_patterns(str(path))[0]["words"] == ["rare", "common"]
 
 
@@ -171,7 +178,7 @@ def test_pattern_lines_are_json_dumps_of_each_pattern(tmp_path):
                 SpatialPattern(frozenset({1, 3}), Gid(2, 0b0110), 7),
                 SpatialPattern(frozenset({4}), Gid(0, 0), 5)]
     path = tmp_path / "patterns.jsonl"
-    write_patterns(str(path), patterns, table, vocab)
+    write_patterns(str(path), as_result(patterns, table), vocab)
     want = "".join(
         json.dumps({"words": [names[w] for w in sorted(p.words, key=table.rank.__getitem__)],
                     "gid": gid_str(p.gid), "level": p.gid.level, "count": p.count},

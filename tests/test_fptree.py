@@ -18,7 +18,7 @@ from helpers import (
     path_growth,
     powerset_counts,
 )
-from spatialfp.fptree import fp_growth, tree_from_weighted_paths
+from spatialfp.fptree import cell_base, fp_growth, tree_from_weighted_paths
 
 
 def mine(paths, minsup):
@@ -52,22 +52,28 @@ def test_conditional_tree_prunes_below_minsup():
     prefixes = [(path[:path.index(PIZZA)], weight)
                 for path, weight in base.items() if PIZZA in path]
     # pizza's prefix paths are [expensive, italian] and [expensive,
-    # restaurant], each weight 1; only expensive reaches 2, and the two
-    # pruned paths merge into one bit of weight 2.
+    # restaurant], each weight 1; only expensive reaches 2. Each pair
+    # keeps its own bit, so expensive's tidset covers both.
     assert sorted(prefixes) == [((EXPENSIVE, ITALIAN), 1), ((EXPENSIVE, RESTAURANT), 1)]
     cond = tree_from_weighted_paths(prefixes, 2)
-    assert list(cond) == [(EXPENSIVE, 0b1, 2)]
-    assert cond.planes == [(1, 0b1)]
+    assert list(cond) == [(EXPENSIVE, 0b11, 2)]
+    assert cond.planes == [(0, 0b11)]
     assert fp_growth(cond, 2) == [((EXPENSIVE,), 2)]
     assert path_base(prefixes, 2) == {(EXPENSIVE,): 2}
 
 
 def test_shared_prefixes_collapse():
-    base = tree_from_weighted_paths([((0, 1), 1), ((0, 2), 1), ((0, 1), 2)], 1)
-    # Bit 0 is the path (0, 1) of weight 3, bit 1 the path (0, 2) of weight 1.
-    assert list(base) == [(2, 0b10, 1), (1, 0b01, 3), (0, 0b11, 4)]
-    assert base.planes == [(0, 0b11), (1, 0b01)]
-    assert path_base([((0, 1), 1), ((0, 2), 1), ((0, 1), 2)], 1) == {(0, 1): 3, (0, 2): 1}
+    pairs = [((0, 1), 1), ((0, 2), 1), ((0, 1), 2)]
+    base = tree_from_weighted_paths(pairs, 1)
+    # Bit i is pair i: the path (0, 1) holds bits 0 and 2 (weights 1 and
+    # 2), the path (0, 2) bit 1; supports are those of the merged paths.
+    assert list(base) == [(2, 0b010, 1), (1, 0b101, 3), (0, 0b111, 4)]
+    assert base.planes == [(0, 0b011), (1, 0b100)]
+    assert as_supports(fp_growth(base, 1)) == {
+        frozenset({0}): 4, frozenset({1}): 3, frozenset({2}): 1,
+        frozenset({0, 1}): 3, frozenset({0, 2}): 1}
+    assert path_base(pairs, 1) == {(0, 1): 3, (0, 2): 1}
+    assert path_growth(path_base(pairs, 1), 1) == as_supports(fp_growth(base, 1))
 
 
 def test_weighted_paths_drop_everything_below_minsup():
@@ -122,7 +128,7 @@ weighted_paths = st.lists(
 @given(weighted_paths, st.data())
 @settings(max_examples=150, deadline=None)
 def test_vertical_growth_matches_the_path_reference(paths, data):
-    # Repeat some paths, so that equal paths must merge.
+    # Repeat some paths: equal paths keep one bit each and add up.
     paths = paths + paths[:data.draw(st.integers(min_value=0, max_value=len(paths)))]
     totals: dict[int, int] = {}
     for path, weight in paths:
@@ -139,3 +145,23 @@ def test_vertical_growth_on_a_base_of_many_paths():
     base = tree_from_weighted_paths(paths, 400)
     assert max(tids.bit_length() for _, tids, _ in base) > 2000
     assert mine(paths, 400) == path_growth(path_base(paths, 400), 400)
+
+
+@given(weighted_paths, st.data())
+@settings(max_examples=150, deadline=None)
+def test_cell_slices_match_the_path_reference(pairs, data):
+    # Duplicate pairs, as one node's path under several leaves of a cell.
+    pairs = pairs + pairs[:data.draw(st.integers(min_value=0, max_value=len(pairs)))]
+    pairs = data.draw(st.permutations(pairs))
+    lo = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+    hi = data.draw(st.integers(min_value=lo, max_value=len(pairs)))
+    totals: dict[int, int] = {}
+    for path, weight in pairs[lo:hi]:
+        for item in path:
+            totals[item] = totals.get(item, 0) + weight
+    minsup = data.draw(st.integers(min_value=1, max_value=max(totals.values(), default=0) + 1))
+    floor = data.draw(st.integers(min_value=1, max_value=minsup))
+    cell = cell_base(tree_from_weighted_paths(pairs, floor), lo, hi, minsup)
+    assert [support for _, _, support in cell] == sorted(support for _, _, support in cell)
+    assert as_supports(fp_growth(cell, minsup)) == path_growth(path_base(pairs[lo:hi], minsup),
+                                                               minsup)

@@ -10,6 +10,7 @@ from helpers import (
     REF_PATTERNS,
     UnknownEntry,
     build_tree,
+    canonical_patterns,
     cell_conditional_tree,
     check_no_duplicates,
     check_subset_closure,
@@ -147,6 +148,25 @@ def test_sort_patterns_restores_canonical_order(ref_tree):
     assert got == patterns
     # One Gid object per cell, shared by its patterns.
     assert len({id(p.gid) for p in got}) == len({p.gid for p in got}) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 5, 23])
+def test_canonical_rows_match_the_object_reference(seed):
+    records, grid, sigma = fuzz_instance(seed)
+    tree = build_tree(records, sigma, grid)
+    raw = mine_tree(tree, [sigma] * (grid.height + 1))
+    random.Random(seed).shuffle(raw)
+    want = canonical_patterns(raw, tree.words)
+    got = canonical(raw, tree.words)
+    assert len(want) > 3
+    assert list(got) == want and got == want and want == got
+    assert len(got) == len(want)
+    assert [got[i] for i in range(-len(want), len(want))] == want + want
+    assert got[-1] == want[-1] and got[-len(want)] == want[0]
+    with pytest.raises(IndexError):
+        got[len(want)]
+    assert got[1:-1] == want[1:-1] and got[::-2] == want[::-2]
+    assert got != want[:-1]
 
 
 def _composed_mine(tree, sigmas):
