@@ -64,17 +64,18 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     stats = ScanStats()
 
     t0 = time.perf_counter()
-    words, header, cols = scan_counts(source, min(sigmas), grid, stats)
+    words, cols = scan_counts(source, min(sigmas), grid, stats)
     if after_scan is not None:
         after_scan()
     t1 = time.perf_counter()
 
-    tree = SpatialTree(words, header, grid.height)
+    tree = SpatialTree(words, grid.height)
     for ranks, leaf in sorted_records(cols, words):
         insert_record(tree, ranks, leaf)
+    del cols  # not read again; freed before finalize and growth set the peak
     tree.finalize()
     t2 = time.perf_counter()
-    raw = mine_tree(tree, sigmas)
+    raw, report.cell_entries = mine_tree(tree, sigmas)
     patterns = canonical(raw, words)
     t3 = time.perf_counter()
 
@@ -83,7 +84,6 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     report.mined = stats.records - stats.skipped
     report.distinct_words = stats.distinct_words
     report.retained_words = len(words)
-    report.cell_entries = len(header)
     report.first_scan_ms = (t1 - t0) * 1000.0
     report.tree_build_ms = (t2 - t1) * 1000.0
     report.growth_ms = (t3 - t2) * 1000.0

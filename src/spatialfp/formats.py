@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator
 
 from .grid import GeoPoint, Gid, gid_str
 from .spatial_mining import Patterns
-from .text import GeoRecord, Stemmer, Vocabulary, refine, tokenize
+from .text import GeoRecord, Vocabulary, refine, tokenize
 
 
 class MalformedRecord(ValueError):
@@ -23,8 +23,7 @@ class MalformedRecord(ValueError):
 
 
 def parse_record_line(line: str, seq: int, vocab: Vocabulary,
-                      stopwords: frozenset[str],
-                      stemmer: Stemmer | None = None) -> GeoRecord:
+                      stopwords: frozenset[str]) -> GeoRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -34,18 +33,19 @@ def parse_record_line(line: str, seq: int, vocab: Vocabulary,
 
     lon = obj.get("lon")
     lat = obj.get("lat")
-    if not isinstance(lon, (int, float)) or isinstance(lon, bool) or not math.isfinite(lon):
-        raise MalformedRecord("missing or non-finite lon")
-    if not isinstance(lat, (int, float)) or isinstance(lat, bool) or not math.isfinite(lat):
-        raise MalformedRecord("missing or non-finite lat")
-    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-        raise MalformedRecord(f"coordinates ({lon}, {lat}) outside valid range")
+    # NaN fails every comparison, so finite in-range floats pass straight.
+    if not (type(lon) is float and type(lat) is float
+            and -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+        lon, lat = _checked_point(lon, lat)
 
     words = obj.get("words")
-    if words is not None:
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise MalformedRecord("words must be an array of strings")
-        tokens = [w.lower() for w in words]
+    if type(words) is list:
+        try:
+            tokens = [w.lower() for w in words]
+        except AttributeError:  # of all JSON values only strings have lower()
+            raise MalformedRecord("words must be an array of strings") from None
+    elif words is not None:
+        raise MalformedRecord("words must be an array of strings")
     else:
         text = obj.get("text")
         if not isinstance(text, str):
@@ -53,13 +53,21 @@ def parse_record_line(line: str, seq: int, vocab: Vocabulary,
         tokens = tokenize(text)
 
     oid = obj.get("id")
-    if oid is None:
-        oid = str(seq)
-    elif not isinstance(oid, str):
-        oid = str(oid)
+    if type(oid) is not str:
+        oid = str(seq) if oid is None else str(oid)
 
-    wordset = vocab.intern_set(refine(tokens, stopwords, stemmer))
-    return GeoRecord(oid, wordset, GeoPoint(float(lon), float(lat)))
+    return GeoRecord(oid, vocab.intern_set(refine(tokens, stopwords)), GeoPoint(lon, lat))
+
+
+def _checked_point(lon, lat) -> tuple[float, float]:
+    """Coordinates of any JSON type, as floats, or MalformedRecord."""
+    if not isinstance(lon, (int, float)) or isinstance(lon, bool) or not math.isfinite(lon):
+        raise MalformedRecord("missing or non-finite lon")
+    if not isinstance(lat, (int, float)) or isinstance(lat, bool) or not math.isfinite(lat):
+        raise MalformedRecord("missing or non-finite lat")
+    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+        raise MalformedRecord(f"coordinates ({lon}, {lat}) outside valid range")
+    return float(lon), float(lat)
 
 
 class FileSource:
@@ -74,12 +82,10 @@ class FileSource:
 
     def __init__(self, path: str, vocab: Vocabulary,
                  stopwords: frozenset[str] = frozenset(),
-                 stemmer: Stemmer | None = None,
                  limit: int | None = None):
         self.path = path
         self.vocab = vocab
         self.stopwords = stopwords
-        self.stemmer = stemmer
         self.limit = limit
         self.lines_read = 0
         self.malformed = 0
@@ -105,7 +111,7 @@ class FileSource:
                     continue
                 try:
                     rec = parse_record_line(line, self.lines_read, self.vocab,
-                                            self.stopwords, self.stemmer)
+                                            self.stopwords)
                 except MalformedRecord:
                     self.malformed += 1
                     continue

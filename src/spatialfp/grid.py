@@ -48,10 +48,6 @@ class BoundingBox:
         if not (self.min_lon < self.max_lon and self.min_lat < self.max_lat):
             raise ValueError(f"degenerate bounding box {self}")
 
-    def contains(self, p: GeoPoint) -> bool:
-        return (self.min_lon <= p.lon <= self.max_lon
-                and self.min_lat <= p.lat <= self.max_lat)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -76,6 +72,10 @@ def _spread_bits(v: int) -> int:
     return v
 
 
+# _spread_bits of every 8-bit value, for grids of height 8 or less.
+_SPREAD = [_spread_bits(v) for v in range(256)]
+
+
 def _compact_bits(v: int) -> int:
     # Inverse of _spread_bits: gather every second bit.
     v &= 0x5555555555555555
@@ -93,13 +93,18 @@ def encode(p: GeoPoint, grid: Grid) -> Gid:
     Points exactly on the box's maximum edges are clamped into the last
     row/column of cells. Raises PointOutOfBounds for anything outside.
     """
+    lon, lat = p
     box = grid.bbox
-    if not box.contains(p):
+    if not (box.min_lon <= lon <= box.max_lon and box.min_lat <= lat <= box.max_lat):
         raise PointOutOfBounds(f"point {tuple(p)} outside box {box}")
-    n = 1 << grid.height
-    ix = min(int((p.lon - box.min_lon) / (box.max_lon - box.min_lon) * n), n - 1)
-    iy = min(int((p.lat - box.min_lat) / (box.max_lat - box.min_lat) * n), n - 1)
-    return Gid(grid.height, _spread_bits(ix) | _spread_bits(iy) << 1)
+    height = grid.height
+    n = 1 << height
+    # Scaling by n / width in one factor would round differently at cell edges.
+    ix = min(int((lon - box.min_lon) / (box.max_lon - box.min_lon) * n), n - 1)
+    iy = min(int((lat - box.min_lat) / (box.max_lat - box.min_lat) * n), n - 1)
+    if height <= 8:
+        return Gid(height, _SPREAD[ix] | _SPREAD[iy] << 1)
+    return Gid(height, _spread_bits(ix) | _spread_bits(iy) << 1)
 
 
 def ancestor_at(gid: Gid, level: int) -> Gid:

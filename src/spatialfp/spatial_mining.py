@@ -1,21 +1,22 @@
 """Multi-level mining over the cell-annotated prefix tree, in rank space.
 
-As in the paper's SFP-growth, the SFP-tree and its (word, cell) header
-are built once, and each frequent (word, cell) gets exactly its
-non-spatial conditional base, with no record rescans; only the miner
-inside a base is a weighted vertical (Eclat) search, in ``fptree``.
-Ranks are visited in reverse global order, each once for all levels. A
-rank's node entries, sorted by leaf, make the word's one vertical base;
-quad-tree cells nest, so each cell's base is a leaf-code bit range of
-it. Every pattern is emitted as a raw tuple at the cell where it reached
-the threshold, with its exact per-cell support; ``canonical`` sorts the
+As in the paper's SFP-growth, the SFP-tree is built once, and each
+frequent (word, cell) gets exactly its non-spatial conditional base,
+with no record rescans; only the miner inside a base is a weighted
+vertical (Eclat) search, in ``fptree``. Ranks are visited in reverse
+global order, each once for all levels. A rank's node entries, sorted by
+leaf, are the word's (word, cell) header and make its one vertical base;
+quad-tree cells nest, so any cell is one leaf-code range of both. Every
+pattern is emitted as a raw tuple at the cell where it reached the
+threshold, with its exact per-cell support; ``canonical`` sorts the
 tuples into the rows of a ``Patterns`` result.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .fptree import cell_base, fp_growth, tree_from_weighted_paths
@@ -62,14 +63,15 @@ def _prefix_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
+def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[list[RawPattern], int]:
     """All spatially frequent rank sets at every level, unsorted, as
-    ``(ranks, level, code, count)`` tuples with the ranks suffix first.
+    ``(ranks, level, code, count)`` tuples with the ranks suffix first,
+    plus the number of (word, leaf cell) header entries.
 
-    Visits each rank once: its nodes' prefix paths are walked once, and
-    their (leaf, node, count) entries are sorted by leaf into one
-    vertical base, so that the base of any cell at any level is one
-    contiguous bit range of it.
+    Visits each rank once: the (leaf, node, count) entries of its nodes,
+    sorted by leaf, are one contiguous range per cell at any level, which
+    gives the cell's total through a prefix sum and its bit range in the
+    word's one vertical base. Cells are searched from the root down.
     """
     height = tree.height
     if len(sigmas) != height + 1:
@@ -77,48 +79,62 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> list[RawPattern]:
     if not tree.finalized:
         raise RuntimeError("the tree is read only after finalize()")
     start, cell_leaf, cell_count = tree.cell_start, tree.cell_leaf, tree.cell_count
-    order = tree.words.order
     floor = min(sigmas)
+    # A cell's total bounds its children's, so below the smallest sigma
+    # of the levels under it no cell inside it is frequent.
+    reach = [min(sigmas[level + 1:]) for level in range(height)]
     out: list[RawPattern] = []
-    for r in range(len(order) - 1, -1, -1):
-        # Nodes right under the root have an empty prefix and add nothing
-        # to a conditional base.
-        paths: list[tuple[int, ...]] = []
+    header_entries = 0
+    for r in range(len(tree.by_rank) - 1, -1, -1):
+        nodes = tree.by_rank[r]
+        if not nodes:
+            continue
         entries: list[tuple[int, int, int]] = []
-        for node in tree.by_rank[r]:
-            path = _prefix_path(tree, node)
-            if path:
-                i = len(paths)
-                paths.append(path)
-                lo, hi = start[node], start[node + 1]
+        for i, node in enumerate(nodes):
+            lo, hi = start[node], start[node + 1]
+            if hi - lo == 1:  # most nodes, and far cheaper than a zip
+                entries.append((cell_leaf[lo], i, cell_count[lo]))
+            else:
                 entries.extend(zip(cell_leaf[lo:hi], repeat(i), cell_count[lo:hi]))
         entries.sort()
-        pairs = [(paths[i], count) for _, i, count in entries]
-        # Below the floor in all, no item of the word reaches any sigma.
-        base = sum([e[2] for e in entries]) >= floor and tree_from_weighted_paths(pairs, floor)
-        totals = tree.header.cells_of(order[r])
-        for level in range(height, -1, -1):
-            if level < height:
-                folded: dict[int, int] = {}
-                for cell, count in totals.items():
-                    if cell >> 2 in folded:
-                        folded[cell >> 2] += count
-                    else:
-                        folded[cell >> 2] = count
-                totals = folded
-            shift = 2 * (height - level)
+        # An array: the running sums as int objects would stay spread over
+        # the allocator's arenas among the patterns kept, raising the peak.
+        acc = array("q", [0])
+        acc.extend(accumulate([e[2] for e in entries]))
+        header_entries += len({e[0] for e in entries})
+        # The rank's one root child, if any, is its last node: its empty
+        # prefix adds nothing to a conditional base.
+        top = nodes[-1]
+        deep = acc[-1]
+        if tree.parent_of[top] == 0:
+            deep -= sum(cell_count[start[top]:start[top + 1]])
+        base = None
+        if deep >= floor:  # else no item of the word reaches any sigma
+            paths = [_prefix_path(tree, node) for node in nodes]
+            base = tree_from_weighted_paths([(paths[i], count) for _, i, count in entries],
+                                            floor)
+        cells = [(0, 0, 0, len(entries))]  # (level, code, lo, hi) still to visit
+        while cells:
+            level, code, lo, hi = cells.pop()
+            total = acc[hi] - acc[lo]
             sigma = sigmas[level]
-            for anc, total in totals.items():
-                if total < sigma:
-                    continue
-                out.append(((r,), level, anc, total))
-                if base:  # a 1-tuple (leaf,) sorts before that leaf's entries
-                    cond = cell_base(base, bisect_left(entries, (anc << shift,)),
-                                     bisect_left(entries, ((anc + 1) << shift,)), sigma)
+            if total >= sigma:
+                out.append(((r,), level, code, total))
+                if base:
+                    cond = cell_base(base, lo, hi, sigma)
                     if cond:
-                        out.extend([((r, *items), level, anc, count)
+                        out.extend([((r, *items), level, code, count)
                                     for items, count in fp_growth(cond, sigma)])
-    return out
+            if level < height and total >= reach[level]:
+                bound, shift = reach[level], 2 * (height - level - 1)
+                while lo < hi:  # each child holding an entry
+                    child = entries[lo][0] >> shift
+                    # (leaf,) sorts before that leaf's entries
+                    cut = bisect_left(entries, ((child + 1) << shift,), lo, hi)
+                    if acc[cut] - acc[lo] >= bound:
+                        cells.append((level + 1, child, lo, cut))
+                    lo = cut
+    return out, header_entries
 
 
 class Patterns(Sequence[SpatialPattern]):

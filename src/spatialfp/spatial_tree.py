@@ -1,19 +1,20 @@
 """Cell-annotated prefix tree built in two passes over one read.
 
-Pass one reads each record once: it counts every word globally and per
-leaf cell and keeps the in-box records as compact columns. Words whose
-global count falls below sigma are dropped for good. From pass two on
-the miner works on word ranks in the global order: each record becomes
-its ascending rank tuple, and the records, sorted by those tuples, are
-appended to the tree past their common prefix with the one before. The
-tree is flat arrays (node rank, node parent, per-node leaf-cell counts
-in CSR form) plus one node list per rank, with no object per node. The
-per-(word id, cell) header holds the pass-one counts.
+Pass one reads each record once: it keeps the in-box records as compact
+columns and counts every word over them. Words whose global count falls
+below sigma are dropped for good. From pass two on the miner works on
+word ranks in the global order: each record becomes its ascending rank
+tuple, and the records, sorted by those tuples, are appended to the tree
+past their common prefix with the one before. The tree is flat arrays
+(node rank, node parent, per-node leaf-cell counts in CSR form) plus one
+node list per rank, with no object per node. The per-(word, cell) header
+is not stored: a word's count in a cell is the sum over its nodes.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence
@@ -51,37 +52,6 @@ class WordTable:
         return wid in self.counts
 
 
-class CellTable:
-    """Per-(word, leaf cell) record counts, indexed by word."""
-
-    def __init__(self):
-        self._by_word: dict[int, dict[int, int]] = {}
-
-    def add(self, wids: Iterable[int], cell: int) -> None:
-        """Count one record holding ``wids`` in leaf cell ``cell``."""
-        by_word = self._by_word
-        for wid in wids:
-            cells = by_word.get(wid)
-            if cells is None:
-                by_word[wid] = {cell: 1}
-            else:
-                cells[cell] = cells.get(cell, 0) + 1
-
-    def totals(self) -> dict[int, int]:
-        """Each word's count summed over its cells."""
-        return {wid: sum(cells.values()) for wid, cells in self._by_word.items()}
-
-    def prune(self, keep: WordTable) -> None:
-        for wid in [w for w in self._by_word if w not in keep]:
-            del self._by_word[wid]
-
-    def cells_of(self, wid: int) -> dict[int, int]:
-        return self._by_word.get(wid, {})
-
-    def __len__(self) -> int:
-        return sum(len(cells) for cells in self._by_word.values())
-
-
 class Columns:
     """The in-box records of one read as compact arrays: record ``i``
     holds ``wids[offsets[i]:offsets[i + 1]]`` in leaf cell ``leaves[i]``."""
@@ -111,9 +81,8 @@ class SpatialTree:
     one per node on each record's path, and every reader raises.
     """
 
-    def __init__(self, words: WordTable, header: CellTable, height: int):
+    def __init__(self, words: WordTable, height: int):
         self.words = words
-        self.header = header
         self.height = height
         self.rank_of = array("q", [-1])
         self.parent_of = array("q", [0])
@@ -162,15 +131,14 @@ class SpatialTree:
 
 def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
                 stats: ScanStats | None = None,
-                ) -> tuple[WordTable, CellTable, Columns]:
+                ) -> tuple[WordTable, Columns]:
     """First pass: the one read of ``records``.
 
-    Returns the retained words (global count >= sigma), the cell table
-    restricted to them, and the in-box records as columns for pass two.
+    Returns the retained words (global count >= sigma) and the in-box
+    records as columns for pass two.
     """
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
-    header = CellTable()
     cols = Columns()
     seen = skipped = 0
     for rec in records:
@@ -180,16 +148,13 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
         except PointOutOfBounds:
             skipped += 1
             continue
-        header.add(rec.words, leaf)
         cols.append(rec.words, leaf)
-    counts = header.totals()
+    counts = Counter(cols.wids)
     if stats is not None:
         stats.records = seen
         stats.skipped = skipped
         stats.distinct_words = len(counts)
-    words = WordTable({w: c for w, c in counts.items() if c >= sigma})
-    header.prune(words)
-    return words, header, cols
+    return WordTable({w: c for w, c in counts.items() if c >= sigma}), cols
 
 
 def sorted_records(cols: Columns, words: WordTable) -> list[tuple[tuple[int, ...], int]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DictionaryFull
 from .grid import GeoPoint
@@ -12,8 +12,6 @@ from .grid import GeoPoint
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 _MAX_WID = 2**32 - 1
-
-Stemmer = Callable[[str], str]
 
 
 class GeoRecord(NamedTuple):
@@ -29,12 +27,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def refine(tokens: Iterable[str], stopwords: frozenset[str] | set[str],
-           stemmer: Stemmer | None = None) -> set[str]:
-    """Stem (optional), drop stopwords, collapse duplicates to a set."""
-    if stemmer is not None:
-        tokens = (stemmer(t) for t in tokens)
-    return {t for t in tokens if t not in stopwords}
+def refine(tokens: Iterable[str], stopwords: frozenset[str] | set[str]) -> set[str]:
+    """Drop stopwords, collapse duplicates to a set."""
+    words = set(tokens)
+    if stopwords:
+        words -= stopwords
+    return words
 
 
 class Vocabulary:
@@ -66,7 +64,11 @@ class Vocabulary:
         return wid
 
     def intern_set(self, words: set[str]) -> frozenset[int]:
-        return frozenset(self.intern(w) for w in sorted(words))
+        wids = self._wids
+        try:
+            return frozenset([wids[w] for w in words])
+        except KeyError:  # a new word: fresh ids go in sorted order
+            return frozenset([self.intern(w) for w in sorted(words)])
 
     def word(self, wid: int) -> str:
         return self._words[wid]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -10,12 +11,13 @@ from itertools import combinations
 from typing import Sequence
 
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
-from spatialfp.errors import SpatialFpError
+from spatialfp.errors import PointOutOfBounds, SpatialFpError
+from spatialfp.formats import MalformedRecord
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
 from spatialfp.spatial_mining import Patterns, SpatialPattern, canonical, mine_tree
-from spatialfp.spatial_tree import (CellTable, ScanStats, SpatialTree, WordTable,
-                                   insert_record, scan_counts, sorted_records)
-from spatialfp.text import GeoRecord
+from spatialfp.spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
+                                   scan_counts, sorted_records)
+from spatialfp.text import GeoRecord, Vocabulary, tokenize
 
 # --- four-record reference database (grid height 1, sigma 2) ---------------
 #
@@ -128,8 +130,8 @@ def fuzz_instance(seed: int):
 def build_tree(source, sigma: int, grid: Grid,
                stats: ScanStats | None = None) -> SpatialTree:
     """Both passes over one read of ``source``, finalized, without growth."""
-    words, header, cols = scan_counts(source, sigma, grid, stats)
-    tree = SpatialTree(words, header, grid.height)
+    words, cols = scan_counts(source, sigma, grid, stats)
+    tree = SpatialTree(words, grid.height)
     for ranks, leaf in sorted_records(cols, words):
         insert_record(tree, ranks, leaf)
     tree.finalize()
@@ -215,21 +217,43 @@ def check_mass_conservation(tree: SpatialTree, records, grid: Grid) -> None:
         assert total == expected.get(wid, 0) == tree.words.counts[wid], wid
 
 
-def check_header_consistency(tree: SpatialTree) -> None:
-    """Each (word, cell) header count equals that cell's count summed over
-    the word's nodes, and the nodes of a word are distinct and hold it."""
-    entries = list(header_items(tree.header, tree.words.order))
-    assert len(entries) == len(tree.header)  # no entry of a dropped word
-    for wid, cell, count in entries:
-        node_sum = sum(node_cells(tree, n).get(cell, 0) for n in tree.nodes_of(wid))
-        assert node_sum == count, (wid, cell)
-    node_pairs = set()
+def record_cell_counts(records, grid: Grid, words: WordTable) -> dict[tuple[int, int], int]:
+    """(wid, leaf) -> in-box records holding the retained word ``wid`` in
+    leaf cell ``leaf``, counted straight from the records."""
+    out: dict[tuple[int, int], int] = {}
+    for rec in records:
+        try:
+            leaf = encode(rec.point, grid).code
+        except PointOutOfBounds:
+            continue
+        for w in rec.words:
+            if w in words:
+                out[(w, leaf)] = out.get((w, leaf), 0) + 1
+    return out
+
+
+def tree_cell_totals(tree: SpatialTree) -> dict[tuple[int, int], int]:
+    """(wid, leaf) -> the word's count in the leaf cell, summed over its nodes."""
+    out: dict[tuple[int, int], int] = {}
+    for wid in tree.words.order:
+        for node in tree.nodes_of(wid):
+            for leaf, count in node_cells(tree, node).items():
+                out[(wid, leaf)] = out.get((wid, leaf), 0) + count
+    return out
+
+
+def check_header_consistency(tree: SpatialTree, records, grid: Grid) -> None:
+    """The (word, cell) header read off the tree equals the counts taken
+    from the in-box records, entry for entry, and ``mine_tree`` counts
+    one header entry each; the nodes of a word are distinct and hold it."""
+    want = record_cell_counts(records, grid, tree.words)
+    assert tree_cell_totals(tree) == want
+    # Above every count, mining visits only the root cell of each word.
+    assert mine_tree(tree, [len(records) + 1] * (tree.height + 1)) == ([], len(want))
     for wid in tree.words.order:
         nodes = tree.nodes_of(wid)
         assert len(nodes) == len(set(nodes)), wid
         assert all(node_word(tree, n) == wid for n in nodes), wid
-        node_pairs.update((wid, cell) for n in nodes for cell in node_cells(tree, n))
-    assert node_pairs == {(wid, cell) for wid, cell, _ in entries}
 
 
 def check_prefix_order(tree: SpatialTree) -> None:
@@ -349,7 +373,7 @@ class UnknownEntry(SpatialFpError):
 
 def mine_patterns(tree: SpatialTree, sigmas) -> Patterns:
     """``mine_tree`` plus the canonical sort, as ``engine.mine`` does it."""
-    return canonical(mine_tree(tree, sigmas), tree.words)
+    return canonical(mine_tree(tree, sigmas)[0], tree.words)
 
 
 def canonical_patterns(raw, words: WordTable) -> list[SpatialPattern]:
@@ -375,19 +399,12 @@ def as_result(patterns, words: WordTable) -> Patterns:
                      for p in patterns], words)
 
 
-def header_items(header: CellTable, wids):
-    """(wid, cell, count) for each header entry of the words ``wids``."""
-    for wid in wids:
-        for cell, count in header.cells_of(wid).items():
-            yield wid, cell, count
-
-
 def level_table(tree: SpatialTree, level: int, sigma: int) -> dict[tuple[int, int], int]:
-    """The tree's header counts aggregated to ``level``, keyed (wid, code),
-    entries below sigma dropped."""
+    """The tree's (word, leaf) totals aggregated to ``level``, keyed (wid,
+    code), entries below sigma dropped."""
     shift = 2 * (tree.height - level)
     agg: dict[tuple[int, int], int] = {}
-    for wid, cell, count in header_items(tree.header, tree.words.order):
+    for (wid, cell), count in tree_cell_totals(tree).items():
         key = (wid, cell >> shift)
         agg[key] = agg.get(key, 0) + count
     return {k: c for k, c in agg.items() if c >= sigma}
@@ -448,6 +465,51 @@ def build_fp_tree(transactions, minsup: int) -> Base:
 def as_supports(itemsets) -> dict[frozenset[int], int]:
     """``fptree.fp_growth``'s (items, support) pairs keyed by item set."""
     return {frozenset(items): support for items, support in itemsets}
+
+
+# --- reference record parser -------------------------------------------------
+
+
+def reference_parse_record_line(line: str, seq: int, vocab: Vocabulary,
+                                stopwords: frozenset[str]) -> GeoRecord:
+    """``formats.parse_record_line`` before its fast paths, with stopword
+    filtering and interning inline: every check in order, fresh word ids
+    in sorted order of the record's whole wordset."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord("record line is not an object")
+
+    lon = obj.get("lon")
+    lat = obj.get("lat")
+    if not isinstance(lon, (int, float)) or isinstance(lon, bool) or not math.isfinite(lon):
+        raise MalformedRecord("missing or non-finite lon")
+    if not isinstance(lat, (int, float)) or isinstance(lat, bool) or not math.isfinite(lat):
+        raise MalformedRecord("missing or non-finite lat")
+    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+        raise MalformedRecord(f"coordinates ({lon}, {lat}) outside valid range")
+
+    words = obj.get("words")
+    if words is not None:
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise MalformedRecord("words must be an array of strings")
+        tokens = [w.lower() for w in words]
+    else:
+        text = obj.get("text")
+        if not isinstance(text, str):
+            raise MalformedRecord("record needs a text or words field")
+        tokens = tokenize(text)
+
+    oid = obj.get("id")
+    if oid is None:
+        oid = str(seq)
+    elif not isinstance(oid, str):
+        oid = str(oid)
+
+    wordset = frozenset(vocab.intern(w) for w in sorted({t for t in tokens if t not in stopwords}))
+    return GeoRecord(oid, wordset, GeoPoint(float(lon), float(lat)))
 
 
 # --- command line helpers ----------------------------------------------------

@@ -207,8 +207,10 @@ def test_c4_scaling_trends(capsys):
         scan_ms, build_ms, growth_ms = {}, {}, {}
         for n in SCALE_SIZES:
             records = _scale_records(n)
+            # Min of three: the scan is short enough that one slow run
+            # (fresh memory, a busy neighbour) moves a ratio of two.
             reports = [engine.mine(records, SCALE_SIGMA, SCALE_GRID)[1]
-                       for _ in range(2)]
+                       for _ in range(3)]
             scan_ms[n] = min(r.first_scan_ms for r in reports)
             build_ms[n] = min(r.tree_build_ms for r in reports)
             growth_ms[n] = min(r.growth_ms for r in reports)
@@ -252,7 +254,7 @@ def test_c6_structural_invariants(capsys):
         for i, r in enumerate(fuzz_results()):
             tree = build_tree(r.records, r.sigma, r.grid)
             check_mass_conservation(tree, r.records, r.grid)
-            check_header_consistency(tree)
+            check_header_consistency(tree, r.records, r.grid)
             check_prefix_order(tree)
             check_upward_closure(r.found, r.grid.height)
             check_subset_closure(r.found)

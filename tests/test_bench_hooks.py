@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,16 +49,19 @@ def _env() -> dict:
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """A seeded 400-record corpus inside the box of the ``traced`` run."""
+    """A seeded 400-record corpus inside the box of the ``traced`` run,
+    with a blank line after every 50th record."""
     path = tmp_path_factory.mktemp("bench_hooks") / "input.jsonl"
     rnd = random.Random(3)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(400):
             words = rnd.sample(["w%d" % k for k in range(12)], rnd.randint(2, 5))
+            if i % 40 == 7:  # a word seen once: the record keeps no word
+                words = ["once%d" % i]
             # Half the records are free text, so the tokenizer runs too.
             rec = {"words": words} if i % 2 else {"text": " ".join(words)}
             rec.update(id=str(i), lon=rnd.uniform(-9.9, 9.9), lat=rnd.uniform(-4.9, 4.9))
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec) + "\n" + ("\n" if i % 50 == 0 else ""))
     return path
 
 
@@ -106,6 +110,23 @@ def test_every_timed_layer_is_called(perfbench_modules, traced):
     missing = sorted(layer for layer in layers
                      if traced["layers"].get(layer, [0])[0] < 1)
     assert not missing, f"layers the traced run never entered: {missing}"
+
+
+def test_layer_call_counts_match_the_corpus(traced, corpus):
+    """Each per-record layer is entered once per record it serves, so a
+    loop that stops calling one cannot leave its layer reading zero."""
+    lines = [line for line in corpus.read_text(encoding="utf-8").splitlines() if line.strip()]
+    records = [json.loads(line) for line in lines]
+    in_box = [r for r in records if -10 <= r["lon"] <= 10 and -5 <= r["lat"] <= 5]
+    wordsets = [set(r["words"]) if "words" in r else set(r["text"].split()) for r in in_box]
+    counts = Counter(w for ws in wordsets for w in ws)
+    kept = min(int(s) for s in SIGMAS.split(","))
+    calls = {layer: st[0] for layer, st in traced["layers"].items()}
+    assert calls["formats.parse"] == len(lines)
+    assert calls["text.tokenize"] == sum("words" not in r for r in records)
+    assert calls["grid.encode"] == len(in_box)
+    assert calls["spatial_tree.insert"] == sum(
+        any(counts[w] >= kept for w in ws) for ws in wordsets) < len(in_box)
 
 
 def test_every_traced_count_is_recorded(perfbench_modules, traced):

@@ -24,7 +24,7 @@ def test_records_stay_inside_the_box():
     records = generate(GenConfig(n_records=500, vocab_size=50, seed=3), GRID)
     assert len(records) == 500
     for rec in records:
-        assert GRID.bbox.contains(rec.point)
+        encode(rec.point, GRID)  # raises outside the box
         assert all(0 <= w < 50 for w in rec.words)
     assert len({rec.oid for rec in records}) == 500
 

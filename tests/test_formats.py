@@ -1,6 +1,10 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     REF_GRID,
@@ -8,6 +12,7 @@ from helpers import (
     build_tree,
     mine_patterns,
     read_patterns,
+    reference_parse_record_line,
     reference_records,
 )
 from spatialfp.formats import (
@@ -25,10 +30,10 @@ from spatialfp.text import Vocabulary
 NO_STOP = frozenset()
 
 
-def _parse(line, vocab=None, stopwords=NO_STOP, stemmer=None, seq=1):
+def _parse(line, vocab=None, stopwords=NO_STOP, seq=1):
     if vocab is None:
         vocab = Vocabulary()
-    return parse_record_line(line, seq, vocab, stopwords, stemmer)
+    return parse_record_line(line, seq, vocab, stopwords)
 
 
 def test_parse_text_record():
@@ -57,11 +62,11 @@ def test_numeric_id_is_stringified():
     assert rec.oid == "7"
 
 
-def test_stopwords_and_stemmer_apply():
+def test_stopwords_apply():
     vocab = Vocabulary()
     rec = _parse('{"text": "the pizzas", "lon": 0, "lat": 0}', vocab,
-                 stopwords=frozenset({"the"}), stemmer=lambda t: t.rstrip("s"))
-    assert {vocab.word(w) for w in rec.words} == {"pizza"}
+                 stopwords=frozenset({"the"}))
+    assert {vocab.word(w) for w in rec.words} == {"pizzas"}
 
 
 @pytest.mark.parametrize("line", [
@@ -82,6 +87,117 @@ def test_stopwords_and_stemmer_apply():
 def test_malformed_lines_are_rejected(line):
     with pytest.raises(MalformedRecord):
         _parse(line)
+
+
+# --- the parser against its reference, line for line -----------------------
+
+
+def _outcome(parse, line, seq, vocab, stopwords):
+    try:
+        rec = parse(line, seq, vocab, stopwords)
+    except Exception as exc:  # the same error class on both sides, MalformedRecord or not
+        return type(exc)
+    return rec, type(rec.point.lon), type(rec.point.lat)
+
+
+def _check_against_reference(lines, stopwords=NO_STOP):
+    """Both parsers, each with its own fresh vocabulary, give equal records
+    (so equal word ids) or the same error on every line, in order."""
+    vocab, ref_vocab = Vocabulary(), Vocabulary()
+    for seq, line in enumerate(lines, 1):
+        assert (_outcome(parse_record_line, line, seq, vocab, stopwords)
+                == _outcome(reference_parse_record_line, line, seq, ref_vocab, stopwords)), line
+    assert [vocab.word(w) for w in range(len(vocab))] \
+        == [ref_vocab.word(w) for w in range(len(ref_vocab))]
+
+
+def _malformed_shapes():
+    """The malformed line shapes the benchmark corpora mix in."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import corpora
+    finally:
+        sys.path.pop(0)
+    return [shape.format(i=i) for i, shape in enumerate(corpora._MALFORMED)]
+
+
+EDGE_LINES = [
+    '{"words": ["a"], "lon": NaN, "lat": 0.5}',
+    '{"words": ["a"], "lon": 0.5, "lat": Infinity}',
+    '{"words": ["a"], "lon": -Infinity, "lat": 0.5}',
+    '{"words": ["a"], "lon": false, "lat": 0.5}',
+    '{"words": ["a"], "lon": 0.5, "lat": true}',
+    '{"words": ["a"], "lon": 3, "lat": -4}',
+    '{"words": ["a"], "lon": 180.0, "lat": 90.0}',
+    '{"words": ["a"], "lon": -180.0, "lat": -90.0}',
+    '{"words": ["a"], "lon": 180, "lat": -90}',
+    '{"words": ["a"], "lon": 180.00000000000003, "lat": 0.0}',
+    '{"words": ["a"], "lon": 0.0, "lat": -90.00000000000001}',
+    '{"words": ["a"], "lon": -181, "lat": 0}',
+    '{"words": ["a"], "lon": -180.5, "lat": 0.0}',
+    '{"words": ["a"], "lon": 180.5, "lat": 0.0}',
+    '{"words": ["a"], "lon": 0.0, "lat": -90.5}',
+    '{"words": ["a"], "lon": 0.0, "lat": 90.5}',
+    '{"words": ["a", 7], "lon": 0.5, "lat": 0.5}',
+    '{"words": [1.5], "lon": 0.5, "lat": 0.5}',
+    '{"words": [null], "lon": 0.5, "lat": 0.5}',
+    '{"words": {"a": 1}, "lon": 0.5, "lat": 0.5}',
+    '{"words": null, "text": "null words fall back", "lon": 0.5, "lat": 0.5}',
+    '{"id": 12, "words": ["a"], "lon": 0.5, "lat": 0.5}',
+    '{"id": null, "words": ["a"], "lon": 0.5, "lat": 0.5}',
+    '{"id": 1.5, "words": ["a"], "lon": 0.5, "lat": 0.5}',
+    '{"id": ["x"], "words": ["a"], "lon": 0.5, "lat": 0.5}',
+    '\ufeff{"words": ["a"], "lon": 0.5, "lat": 0.5}',
+    '{"words": ["Straße", "CAFÉ", "ǅemal", "İstanbul", "ß"], "lon": 1.0, "lat": 2.0}',
+    '{"text": "Ärger über Öl, naïve café; 東京 タワー", "lon": 1.0, "lat": 2.0}',
+    # New words arrive unsorted among known ones: ids go in sorted order.
+    '{"words": ["m", "c"], "lon": 0.5, "lat": 0.5}',
+    '{"words": ["z", "m", "a", "c", "b"], "lon": 0.5, "lat": 0.5}',
+    '{"text": "y m x", "lon": 0.5, "lat": 0.5}',
+]
+
+
+def test_parser_matches_reference_on_edge_lines():
+    _check_against_reference(_malformed_shapes() + EDGE_LINES)
+    _check_against_reference(EDGE_LINES + _malformed_shapes(), frozenset({"m", "a"}))
+
+
+_WORD = st.sampled_from(["a", "B", "c", "m", "Zeta", "café", "ß", "İ", "東京", "x y", ""])
+_IN_RANGE = st.floats(min_value=-90.0, max_value=90.0)
+_COORD = st.one_of(
+    st.floats(), st.floats(min_value=-181.0, max_value=181.0),
+    st.integers(min_value=-200, max_value=200), st.booleans(), st.none(), _WORD,
+    st.sampled_from([180.0, -180.0, 90.0, -90.0, 180, -90]))
+_ID = st.one_of(st.none(), st.text(max_size=3), st.integers(), st.booleans())
+_WORDS = st.lists(st.one_of(_WORD, _WORD.map(str.upper)), max_size=6)
+_TEXT = st.lists(_WORD, max_size=5).map(" ".join)
+# Mostly well-formed records, so that the fast paths and interning run.
+_GOOD = st.one_of(
+    st.fixed_dictionaries({"lon": _IN_RANGE, "lat": _IN_RANGE, "words": _WORDS},
+                          optional={"id": _ID, "text": _TEXT}),
+    st.fixed_dictionaries({"lon": _IN_RANGE, "lat": _IN_RANGE, "text": _TEXT},
+                          optional={"id": _ID}))
+_ANY = st.fixed_dictionaries({}, optional={
+    "id": _ID,
+    "text": st.one_of(_TEXT, st.integers()),
+    "words": st.one_of(_WORDS, st.lists(st.one_of(_WORD, st.integers(), st.none()), max_size=3),
+                       _WORD, st.none()),
+    "lon": _COORD,
+    "lat": _COORD,
+})
+_LINE = st.one_of(
+    _GOOD.map(json.dumps),
+    _GOOD.map(lambda r: json.dumps(r, ensure_ascii=False)),
+    st.tuples(_ANY, st.booleans()).map(lambda r: json.dumps(r[0], ensure_ascii=r[1])),
+    _GOOD.map(lambda r: "\ufeff" + json.dumps(r)),
+    _GOOD.map(lambda r: json.dumps([r])),
+    st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, min_size=1, max_size=8), st.sampled_from([NO_STOP, frozenset({"a", "m"})]))
+def test_parser_matches_reference_on_built_lines(lines, stopwords):
+    _check_against_reference(lines, stopwords)
 
 
 def _write_lines(path, lines):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spatialfp.errors import InvalidLevel, MalformedGid, PointOutOfBounds
 from spatialfp.grid import (
+    _spread_bits,
     MAX_HEIGHT,
     METERS_PER_DEGREE,
     ROOT,
@@ -172,7 +173,15 @@ points = st.builds(
 heights = st.integers(min_value=0, max_value=8)
 
 
-@given(points, heights)
+# Points on the box's maximum edges, which encode clamps into the last cells.
+edge_points = st.builds(
+    GeoPoint,
+    st.sampled_from([0.0, 4.0]) | st.floats(min_value=0.0, max_value=4.0),
+    st.sampled_from([0.0, 4.0]) | st.floats(min_value=0.0, max_value=4.0),
+)
+
+
+@given(points | edge_points, st.integers(min_value=0, max_value=MAX_HEIGHT))
 def test_encode_bounds_roundtrip(p, height):
     grid = Grid(BOX, height)
     gid = encode(p, grid)
@@ -181,6 +190,11 @@ def test_encode_bounds_roundtrip(p, height):
     lon0, lat0, lon1, lat1 = cell_bounds(gid, grid)
     assert lon0 <= p.lon <= lon1
     assert lat0 <= p.lat <= lat1
+    # Up to height 8 the code comes from a table, beyond it from _spread_bits.
+    n = 1 << height
+    ix = min(int(p.lon / 4.0 * n), n - 1)
+    iy = min(int(p.lat / 4.0 * n), n - 1)
+    assert gid.code == _spread_bits(ix) | _spread_bits(iy) << 1
 
 
 @given(points, heights)

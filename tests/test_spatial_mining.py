@@ -89,11 +89,14 @@ def test_cell_conditional_tree_unknown_word(ref_tree):
 
 
 def test_mine_tree_reference_output(ref_tree):
-    # Raw tuples carry ranks (a = 0, b = 1), suffix first.
-    assert sorted(mine_tree(ref_tree, [2, 2])) == [
+    # Raw tuples carry ranks (a = 0, b = 1), suffix first; a and b are
+    # each in both leaf cells, four header entries.
+    raw, header_entries = mine_tree(ref_tree, [2, 2])
+    assert sorted(raw) == [
         ((0,), 0, 0, 3), ((0,), 1, 0b00, 2),
         ((1,), 0, 0, 3), ((1,), 1, 0b00, 2),
         ((1, 0), 0, 0, 2), ((1, 0), 1, 0b00, 2)]
+    assert header_entries == 4
     patterns = mine_patterns(ref_tree, [2, 2])
     assert patterns_to_dict(patterns) == REF_PATTERNS
     # Canonical order: deepest level first, then cell, then size.
@@ -117,7 +120,8 @@ def test_slices_below_sigma_never_build_a_base(monkeypatch):
     build = spatial_mining.tree_from_weighted_paths
 
     def spy(paths, minsup):
-        shortfalls.append(minsup - sum(weight for _, weight in paths))
+        # Empty paths (a root child's records) carry no item.
+        shortfalls.append(minsup - sum(weight for path, weight in paths if path))
         return build(paths, minsup)
 
     monkeypatch.setattr(spatial_mining, "tree_from_weighted_paths", spy)
@@ -132,7 +136,7 @@ def test_slices_below_sigma_never_build_a_base(monkeypatch):
     assert shortfalls == []
     for seed in range(6):
         records, grid, sigma = fuzz_instance(seed)
-        mine_tree(build_tree(records, sigma, grid), [sigma] * (grid.height + 1))
+        mine_patterns(build_tree(records, sigma, grid), [sigma] * (grid.height + 1))
     assert shortfalls and max(shortfalls) <= 0
 
 
@@ -154,7 +158,7 @@ def test_sort_patterns_restores_canonical_order(ref_tree):
 def test_canonical_rows_match_the_object_reference(seed):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
-    raw = mine_tree(tree, [sigma] * (grid.height + 1))
+    raw, _ = mine_tree(tree, [sigma] * (grid.height + 1))
     random.Random(seed).shuffle(raw)
     want = canonical_patterns(raw, tree.words)
     got = canonical(raw, tree.words)
@@ -226,6 +230,22 @@ def test_per_level_sigmas_match_the_brute_force_reference(height, shape):
     assert compare(patterns_to_dict(mine_patterns(tree, sigmas)), reference).ok
     patterns, _ = engine.mine(records, sigmas, grid)
     assert compare(patterns_to_dict(patterns), reference).ok
+
+
+def test_non_monotone_sigmas_match_the_brute_force_reference():
+    # The search enters a cell while its total reaches the smallest sigma
+    # below it: here level 1's 5 must not stop the descent to level 2's 1.
+    grid = Grid(FUZZ_BBOX, 3)
+    sigmas = [2, 5, 1, 3]
+    records = generate(GenConfig(
+        n_records=300, vocab_size=25, zipf_exponent=0.9,
+        words_per_record_mean=4.0, seed=71), grid)
+    reference = reference_patterns(records, grid, sigmas)
+    # Level 2 holds a cell below level 1's sigma whose parent misses it too.
+    assert any(count < 5 and reference.get((words, 1, code >> 2), 0) < 5
+               for (words, level, code), count in reference.items() if level == 2)
+    tree = build_tree(records, min(sigmas), grid)
+    assert compare(patterns_to_dict(mine_patterns(tree, sigmas)), reference).ok
 
 
 @pytest.mark.parametrize("seed", [1, 8, 19, 33])

@@ -17,11 +17,12 @@ from helpers import (
     cell_conditional_tree,
     dump,
     fuzz_instance,
-    header_items,
     mine_patterns,
     node_cells,
     node_path,
+    record_cell_counts,
     reference_records,
+    tree_cell_totals,
     tree_equal,
 )
 from spatialfp.errors import OrderViolation, PointOutOfBounds
@@ -29,7 +30,6 @@ from spatialfp.grid import MAX_HEIGHT, BoundingBox, GeoPoint, Gid, Grid, encode
 from spatialfp.oracle import reference_patterns
 from spatialfp.spatial_mining import mine_tree, patterns_to_dict
 from spatialfp.spatial_tree import (
-    CellTable,
     Columns,
     ScanStats,
     SpatialTree,
@@ -45,15 +45,15 @@ NAMES = {A: "a", B: "b", C: "c"}.get
 
 def test_first_scan_counts_and_prunes():
     stats = ScanStats()
-    words, header, cols = scan_counts(reference_records(), 2, REF_GRID, stats)
+    words, cols = scan_counts(reference_records(), 2, REF_GRID, stats)
     assert words.counts == {A: 3, B: 3}
     assert words.order == [A, B]
     assert words.rank == {A: 0, B: 1}
     assert C not in words
-    assert len(header) == 4
-    assert header.cells_of(A) == {0b00: 2, 0b01: 1}
-    assert header.cells_of(B) == {0b00: 2, 0b01: 1}
-    assert header.cells_of(C) == {}  # pruned with its word
+    # The (word, cell) header, read off the tree, has no entry of c.
+    header = {(A, 0b00): 2, (A, 0b01): 1, (B, 0b00): 2, (B, 0b01): 1}
+    assert record_cell_counts(reference_records(), REF_GRID, words) == header
+    assert tree_cell_totals(build_tree(reference_records(), 2, REF_GRID)) == header
     # The columns keep every in-box record, dropped words included.
     assert list(cols.offsets) == [0, 2, 4, 5, 7]
     assert list(cols.leaves) == [0b00, 0b00, 0b01, 0b01]
@@ -67,7 +67,7 @@ def test_first_scan_skips_out_of_box():
     records = reference_records() + [
         GeoRecord("far", frozenset({A}), GeoPoint(9.0, 9.0))]
     stats = ScanStats()
-    words, _, cols = scan_counts(records, 2, REF_GRID, stats)
+    words, cols = scan_counts(records, 2, REF_GRID, stats)
     assert stats.records == 5
     assert stats.skipped == 1
     assert words.counts[A] == 3
@@ -131,8 +131,8 @@ def test_nodes_of_lists_distinct_nodes_per_word():
 
 
 def _empty_ref_tree() -> SpatialTree:
-    words, header, _ = scan_counts(reference_records(), 2, REF_GRID)
-    return SpatialTree(words, header, REF_GRID.height)
+    words, _ = scan_counts(reference_records(), 2, REF_GRID)
+    return SpatialTree(words, REF_GRID.height)
 
 
 def test_insert_record_rejects_unsorted_and_unknown():
@@ -186,18 +186,6 @@ def test_unfinalized_tree_cannot_be_read_and_finalized_cannot_grow():
         insert_record(tree, (0, 1), 0)
 
 
-def test_cell_table_prune_and_items():
-    table = CellTable()
-    table.add([A, C], 0)
-    table.add([A], 1)
-    table.add([A], 1)
-    assert table.totals() == {A: 3, C: 1}
-    table.prune(WordTable({A: 3}))
-    assert len(table) == 2
-    assert set(header_items(table, [A, C])) == {(A, 0, 1), (A, 1, 2)}
-    assert table.cells_of(C) == {}
-
-
 def test_rebuild_is_deterministic():
     records = reference_records()
     assert tree_equal(build_tree(records, 2, REF_GRID),
@@ -216,7 +204,7 @@ def test_structural_invariants_on_fuzzed_instances(seed):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
     check_mass_conservation(tree, records, grid)
-    check_header_consistency(tree)
+    check_header_consistency(tree, records, grid)
     check_prefix_order(tree)
 
 
@@ -265,7 +253,7 @@ def test_deepest_grid_builds_and_mines():
     tree = build_tree(records, sigma, grid)
     assert len(tree.rank_of) > 100
     check_mass_conservation(tree, records, grid)
-    check_header_consistency(tree)
+    check_header_consistency(tree, records, grid)
     check_prefix_order(tree)
     sigmas = [sigma] * (MAX_HEIGHT + 1)
     assert patterns_to_dict(mine_patterns(tree, sigmas)) == reference_patterns(records, grid, sigmas)

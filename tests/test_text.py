@@ -22,12 +22,6 @@ def test_refine_drops_stopwords_and_duplicates():
     assert refine(tokens, {"the", "was"}) == {"pizza", "great"}
 
 
-def test_refine_stems_before_stopword_check():
-    strip_plural = lambda t: t.rstrip("s")
-    out = refine(["restaurants", "pizzas"], {"restaurant"}, stemmer=strip_plural)
-    assert out == {"pizza"}
-
-
 def test_refine_empty():
     assert refine([], frozenset()) == set()
 
