@@ -1,4 +1,4 @@
-"""Command line interface: mine, gen, check, bench, stats."""
+"""Command line interface: mine, gen, check, stats."""
 
 from __future__ import annotations
 
@@ -61,13 +61,6 @@ def _parse_sigmas(s: str, height: int) -> list[int]:
         return expand_sigmas(values, height)
     except ValueError as exc:
         raise _Abort(str(exc), 2) from None
-
-
-def _parse_int_list(s: str, flag: str) -> list[int]:
-    try:
-        return [int(p) for p in s.split(",")]
-    except ValueError:
-        raise _Abort(f"{flag} values must be integers, got {s!r}", 2) from None
 
 
 def _load_stopwords(args) -> frozenset[str]:
@@ -203,34 +196,6 @@ def cmd_check(args) -> int:
     return 1
 
 
-def cmd_bench(args) -> int:
-    grid = _make_grid(args)
-    sizes = _parse_int_list(args.records, "--records")
-    sigma_values = _parse_int_list(args.sigmas, "--sigmas")
-    rows = ["\t".join(["n", "sigma", "first_scan_ms", "tree_build_ms",
-                        "growth_ms", "patterns", "word_cell_entries"])]
-
-    for n in sizes:
-        cfg = GenConfig(n_records=n, vocab_size=args.vocab,
-                        zipf_exponent=args.zipf,
-                        words_per_record_mean=args.words_mean, seed=args.seed)
-        records = generate(cfg, grid)
-        for sigma in sigma_values:
-            sigmas = expand_sigmas(sigma, grid.height)
-            _, rep = engine.mine(records, sigmas, grid)
-            rows.append("\t".join([
-                str(n), str(sigma), f"{rep.first_scan_ms:.1f}",
-                f"{rep.tree_build_ms:.1f}", f"{rep.growth_ms:.1f}",
-                str(rep.pattern_count), str(rep.cell_entries)]))
-
-    table = "\n".join(rows)
-    print(table)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-    return 0
-
-
 def cmd_stats(args) -> int:
     vocab = Vocabulary()
     source = FileSource(args.input, vocab, _load_stopwords(args), limit=args.limit)
@@ -314,19 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="run even past the reference size limits")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("bench", help="time the mining phases on synthetic data")
-    _grid_flags(p)
-    p.add_argument("--records", required=True,
-                   help="comma-separated record counts to sweep")
-    p.add_argument("--sigmas", required=True,
-                   help="comma-separated support thresholds to sweep")
-    p.add_argument("--vocab", type=int, default=20000)
-    p.add_argument("--zipf", type=float, default=1.1)
-    p.add_argument("--words-mean", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="also write the table to this file")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stats", help="corpus statistics for a record file")
     p.add_argument("--input", required=True)

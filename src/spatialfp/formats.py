@@ -26,7 +26,7 @@ def parse_record_line(line: str, seq: int, vocab: Vocabulary,
                       stopwords: frozenset[str]) -> GeoRecord:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
         raise MalformedRecord(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedRecord("record line is not an object")
@@ -61,9 +61,11 @@ def parse_record_line(line: str, seq: int, vocab: Vocabulary,
 
 def _checked_point(lon, lat) -> tuple[float, float]:
     """Coordinates of any JSON type, as floats, or MalformedRecord."""
-    if not isinstance(lon, (int, float)) or isinstance(lon, bool) or not math.isfinite(lon):
+    # A chained comparison, as math.isfinite overflows on an int beyond
+    # float range; such an int is finite and fails the range check.
+    if not isinstance(lon, (int, float)) or isinstance(lon, bool) or not -math.inf < lon < math.inf:
         raise MalformedRecord("missing or non-finite lon")
-    if not isinstance(lat, (int, float)) or isinstance(lat, bool) or not math.isfinite(lat):
+    if not isinstance(lat, (int, float)) or isinstance(lat, bool) or not -math.inf < lat < math.inf:
         raise MalformedRecord("missing or non-finite lat")
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
         raise MalformedRecord(f"coordinates ({lon}, {lat}) outside valid range")

@@ -107,21 +107,6 @@ def encode(p: GeoPoint, grid: Grid) -> Gid:
     return Gid(height, _spread_bits(ix) | _spread_bits(iy) << 1)
 
 
-def ancestor_at(gid: Gid, level: int) -> Gid:
-    """The level-``level`` cell enclosing ``gid`` (identity at its own level)."""
-    if level < 0 or level > gid.level:
-        raise InvalidLevel(f"level {level} not in [0, {gid.level}]")
-    return Gid(level, gid.code >> 2 * (gid.level - level))
-
-
-def children_of(gid: Gid, height: int) -> list[Gid]:
-    """The four cells one level below ``gid``, in quadrant-digit order."""
-    if gid.level >= height:
-        raise InvalidLevel(f"cell at level {gid.level} has no children in a height-{height} grid")
-    base = gid.code << 2
-    return [Gid(gid.level + 1, base | q) for q in range(4)]
-
-
 def choose_height(bbox: BoundingBox, target_cell_meters: float) -> int:
     """Smallest height whose leaf cells are at most ``target_cell_meters`` wide.
 
@@ -173,8 +158,3 @@ def cell_bounds(gid: Gid, grid: Grid) -> tuple[float, float, float, float]:
     h = (box.max_lat - box.min_lat) / n
     return (box.min_lon + ix * w, box.min_lat + iy * h,
             box.min_lon + (ix + 1) * w, box.min_lat + (iy + 1) * h)
-
-
-def cell_center(gid: Gid, grid: Grid) -> GeoPoint:
-    lon0, lat0, lon1, lat1 = cell_bounds(gid, grid)
-    return GeoPoint((lon0 + lon1) / 2.0, (lat0 + lat1) / 2.0)

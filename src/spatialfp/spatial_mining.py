@@ -4,8 +4,8 @@ As in the paper's SFP-growth, the SFP-tree is built once, and each
 frequent (word, cell) gets exactly its non-spatial conditional base,
 with no record rescans; only the miner inside a base is a weighted
 vertical (Eclat) search, in ``fptree``. Ranks are visited in reverse
-global order, each once for all levels. A rank's node entries, sorted by
-leaf, are the word's (word, cell) header and make its one vertical base;
+global order, each once for all levels. A rank's run of the tree's
+(word, cell) header, in leaf order, makes the word's one vertical base;
 quad-tree cells nest, so any cell is one leaf-code range of both. Every
 pattern is emitted as a raw tuple at the cell where it reached the
 threshold, with its exact per-cell support; ``canonical`` sorts the
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .fptree import cell_base, fp_growth, tree_from_weighted_paths
@@ -68,52 +68,45 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[list[RawPattern
     ``(ranks, level, code, count)`` tuples with the ranks suffix first,
     plus the number of (word, leaf cell) header entries.
 
-    Visits each rank once: the (leaf, node, count) entries of its nodes,
-    sorted by leaf, are one contiguous range per cell at any level, which
-    gives the cell's total through a prefix sum and its bit range in the
-    word's one vertical base. Cells are searched from the root down.
+    Visits each rank once: its header run, in leaf order, is one
+    contiguous range per cell at any level, which gives the cell's total
+    through a prefix sum and its bit range in the word's one vertical
+    base. Cells are searched from the root down.
     """
     height = tree.height
     if len(sigmas) != height + 1:
         raise ValueError(f"need {height + 1} per-level sigmas, got {len(sigmas)}")
     if not tree.finalized:
         raise RuntimeError("the tree is read only after finalize()")
-    start, cell_leaf, cell_count = tree.cell_start, tree.cell_leaf, tree.cell_count
+    start, parent_of = tree.head_start, tree.parent_of
     floor = min(sigmas)
     # A cell's total bounds its children's, so below the smallest sigma
     # of the levels under it no cell inside it is frequent.
     reach = [min(sigmas[level + 1:]) for level in range(height)]
     out: list[RawPattern] = []
     header_entries = 0
-    for r in range(len(tree.by_rank) - 1, -1, -1):
-        nodes = tree.by_rank[r]
-        if not nodes:
+    for r in range(len(tree.words) - 1, -1, -1):
+        run = slice(start[r], start[r + 1])
+        leaves, nodes, counts = tree.head_leaf[run], tree.head_node[run], tree.head_count[run]
+        if not leaves:
             continue
-        entries: list[tuple[int, int, int]] = []
-        for i, node in enumerate(nodes):
-            lo, hi = start[node], start[node + 1]
-            if hi - lo == 1:  # most nodes, and far cheaper than a zip
-                entries.append((cell_leaf[lo], i, cell_count[lo]))
-            else:
-                entries.extend(zip(cell_leaf[lo:hi], repeat(i), cell_count[lo:hi]))
-        entries.sort()
         # An array: the running sums as int objects would stay spread over
         # the allocator's arenas among the patterns kept, raising the peak.
         acc = array("q", [0])
-        acc.extend(accumulate([e[2] for e in entries]))
-        header_entries += len({e[0] for e in entries})
-        # The rank's one root child, if any, is its last node: its empty
+        acc.extend(accumulate(counts))
+        header_entries += len(set(leaves))
+        # The rank's one root child, if any, is its largest node: its empty
         # prefix adds nothing to a conditional base.
-        top = nodes[-1]
+        top = max(nodes)
         deep = acc[-1]
-        if tree.parent_of[top] == 0:
-            deep -= sum(cell_count[start[top]:start[top + 1]])
+        if parent_of[top] == 0:
+            deep -= sum([c for node, c in zip(nodes, counts) if node == top])
         base = None
         if deep >= floor:  # else no item of the word reaches any sigma
-            paths = [_prefix_path(tree, node) for node in nodes]
-            base = tree_from_weighted_paths([(paths[i], count) for _, i, count in entries],
-                                            floor)
-        cells = [(0, 0, 0, len(entries))]  # (level, code, lo, hi) still to visit
+            paths = {node: _prefix_path(tree, node) for node in set(nodes)}
+            base = tree_from_weighted_paths([(paths[node], count) for node, count
+                                             in zip(nodes, counts)], floor)
+        cells = [(0, 0, 0, len(leaves))]  # (level, code, lo, hi) still to visit
         while cells:
             level, code, lo, hi = cells.pop()
             total = acc[hi] - acc[lo]
@@ -128,9 +121,8 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[list[RawPattern
             if level < height and total >= reach[level]:
                 bound, shift = reach[level], 2 * (height - level - 1)
                 while lo < hi:  # each child holding an entry
-                    child = entries[lo][0] >> shift
-                    # (leaf,) sorts before that leaf's entries
-                    cut = bisect_left(entries, ((child + 1) << shift,), lo, hi)
+                    child = leaves[lo] >> shift
+                    cut = bisect_left(leaves, (child + 1) << shift, lo, hi)
                     if acc[cut] - acc[lo] >= bound:
                         cells.append((level + 1, child, lo, cut))
                     lo = cut

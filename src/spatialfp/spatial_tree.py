@@ -6,9 +6,9 @@ below sigma are dropped for good. From pass two on the miner works on
 word ranks in the global order: each record becomes its ascending rank
 tuple, and the records, sorted by those tuples, are appended to the tree
 past their common prefix with the one before. The tree is flat arrays
-(node rank, node parent, per-node leaf-cell counts in CSR form) plus one
-node list per rank, with no object per node. The per-(word, cell) header
-is not stored: a word's count in a cell is the sum over its nodes.
+(node rank, node parent), with no object per node, plus the paper's
+(word, cell) header: per rank, one run of (leaf, node, count) entries
+in (leaf, node) order, so any cell at any level is one range of a run.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import OrderViolation, PointOutOfBounds
@@ -71,14 +71,15 @@ class SpatialTree:
     """The cell-annotated prefix tree as flat arrays.
 
     Node 0 is the root. Node ``n`` holds the word of rank ``rank_of[n]``
-    under node ``parent_of[n]``; its leaf-cell counts are
-    ``cell_leaf[cell_start[n]:cell_start[n + 1]]`` with ``cell_count``
-    alongside, in ascending leaf order. ``by_rank[r]`` lists the nodes
-    holding rank ``r`` in ascending node order. Records must arrive in
-    ascending order of their rank tuples (see ``sorted_records``), so that
-    nodes are numbered in depth-first order and siblings in rank order.
-    Until ``finalize`` the cell counts are a log of (node, leaf) events,
-    one per node on each record's path, and every reader raises.
+    under node ``parent_of[n]``. Records must arrive in ascending order
+    of their rank tuples (see ``sorted_records``), so that nodes are
+    numbered in depth-first order and siblings in rank order. Rank
+    ``r``'s header run is ``head_start[r]:head_start[r + 1]`` of
+    ``head_leaf``, ``head_node`` and ``head_count``: one entry per
+    distinct (node, leaf cell) of its nodes, in (leaf, node) order, with
+    the records through that node in that leaf. Until ``finalize`` the
+    header is a log of (node, leaf) events, one per node on each
+    record's path, and every reader raises.
     """
 
     def __init__(self, words: WordTable, height: int):
@@ -86,39 +87,43 @@ class SpatialTree:
         self.height = height
         self.rank_of = array("q", [-1])
         self.parent_of = array("q", [0])
-        self.cell_start = array("q")
-        self.cell_leaf = array("q")
-        self.cell_count = array("q")
+        self.head_start = array("q")
+        self.head_leaf = array("q")
+        self.head_node = array("q")
+        self.head_count = array("q")
         self.finalized = False
         self._event_node = array("q")
         self._event_leaf = array("q")
-        self.by_rank = [array("q") for _ in range(len(words))]
         self._last: tuple[int, ...] = ()  # ranks of the last record inserted
         self._path: list[int] = []  # its nodes, root excluded
 
     def finalize(self) -> None:
-        """Sort the event log once into the per-node cell arrays."""
+        """Sort the event log once into the (word, cell) header."""
         if self.finalized:
             return
-        # One int per event, ordered by node then leaf. Python ints, as
-        # node << 2 * height overflows 64 bits on deep grids.
-        shift = 2 * self.height
-        mask = (1 << shift) - 1
-        events = sorted([node << shift | leaf for node, leaf
-                         in zip(self._event_node, self._event_leaf)])
-        sizes = array("q", bytes(8 * (len(self.rank_of) + 1)))
-        leaves, counts = self.cell_leaf, self.cell_count
+        # One int per event, ordered by rank, leaf, then node. Python ints,
+        # as the key overflows 64 bits on deep grids.
+        rank_of = self.rank_of
+        shift, width = 2 * self.height, len(rank_of).bit_length()
+        node_mask, leaf_mask = (1 << width) - 1, (1 << shift) - 1
+        events = [(rank_of[node] << shift | leaf) << width | node for node, leaf
+                  in zip(self._event_node, self._event_leaf)]
+        self._event_node = self._event_leaf = array("q")
+        events.sort()  # in place: sorted() would hold a second list
+        sizes = array("q", bytes(8 * (len(self.words) + 1)))
+        leaves, nodes, counts = self.head_leaf, self.head_node, self.head_count
         last = -1
         for event in events:
             if event == last:
                 counts[-1] += 1
                 continue
             last = event
-            leaves.append(event & mask)
+            node = event & node_mask
+            leaves.append(event >> width & leaf_mask)
+            nodes.append(node)
             counts.append(1)
-            sizes[(event >> shift) + 1] += 1
-        self.cell_start = array("q", accumulate(sizes))
-        self._event_node = self._event_leaf = array("q")
+            sizes[rank_of[node] + 1] += 1
+        self.head_start = array("q", accumulate(sizes))
         self.finalized = True
 
     def nodes_of(self, wid: int) -> array:
@@ -126,7 +131,8 @@ class SpatialTree:
         if not self.finalized:
             raise RuntimeError("the tree is read only after finalize()")
         r = self.words.rank.get(wid)
-        return array("q") if r is None else self.by_rank[r]
+        run = slice(0, 0) if r is None else slice(self.head_start[r], self.head_start[r + 1])
+        return array("q", sorted(set(self.head_node[run])))
 
 
 def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
@@ -180,7 +186,7 @@ def insert_record(tree: SpatialTree, ranks: Sequence[int], cell: int) -> None:
     ``ranks`` must be strictly ascending ints in ``range(len(tree.words))``.
     Reuses the previous record's path up to their common prefix, appends
     nodes for the rest and logs one event per node on the path. Records
-    must come in ``sorted_records`` order; equal records may repeat.
+    must come in ``sorted_records`` order; equal records may recur.
     """
     if tree.finalized:
         raise RuntimeError("cannot insert after finalize()")
@@ -203,15 +209,14 @@ def insert_record(tree: SpatialTree, ranks: Sequence[int], cell: int) -> None:
             break
         k += 1
     del path[k:]
-    rank_of, parent_of, by_rank = tree.rank_of, tree.parent_of, tree.by_rank
+    rank_of, parent_of = tree.rank_of, tree.parent_of
     parent = path[-1] if path else 0
     for r in ranks[k:]:
         node = len(rank_of)
         rank_of.append(r)
         parent_of.append(parent)
-        by_rank[r].append(node)
         path.append(node)
         parent = node
     tree._last = ranks
     tree._event_node.extend(path)
-    tree._event_leaf.extend(repeat(cell, len(path)))
+    tree._event_leaf.extend([cell] * len(path))

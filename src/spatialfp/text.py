@@ -50,9 +50,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._wids
-
     def intern(self, word: str) -> int:
         wid = self._wids.get(word)
         if wid is None:
@@ -72,12 +69,6 @@ class Vocabulary:
 
     def word(self, wid: int) -> str:
         return self._words[wid]
-
-    def wid(self, word: str) -> int:
-        return self._wids[word]
-
-    def get(self, word: str) -> int | None:
-        return self._wids.get(word)
 
     def save(self, path: str) -> None:
         r"""Persist as UTF-8 lines of "wid<TAB>word", with backslash, tab,

@@ -11,13 +11,50 @@ from itertools import combinations
 from typing import Sequence
 
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
-from spatialfp.errors import PointOutOfBounds, SpatialFpError
+from spatialfp.errors import InvalidLevel, PointOutOfBounds, SpatialFpError
 from spatialfp.formats import MalformedRecord
-from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, ancestor_at, encode, gid_str
+from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode, gid_str
 from spatialfp.spatial_mining import Patterns, SpatialPattern, canonical, mine_tree
 from spatialfp.spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
                                    scan_counts, sorted_records)
 from spatialfp.text import GeoRecord, Vocabulary, tokenize
+
+# --- grid and vocabulary queries the program itself does not need ---------
+
+
+def ancestor_at(gid: Gid, level: int) -> Gid:
+    """The level-``level`` cell enclosing ``gid`` (identity at its own level)."""
+    if level < 0 or level > gid.level:
+        raise InvalidLevel(f"level {level} not in [0, {gid.level}]")
+    return Gid(level, gid.code >> 2 * (gid.level - level))
+
+
+def children_of(gid: Gid, height: int) -> list[Gid]:
+    """The four cells one level below ``gid``, in quadrant-digit order."""
+    if gid.level >= height:
+        raise InvalidLevel(f"cell at level {gid.level} has no children in a height-{height} grid")
+    base = gid.code << 2
+    return [Gid(gid.level + 1, base | q) for q in range(4)]
+
+
+def cell_center(gid: Gid, grid: Grid) -> GeoPoint:
+    lon0, lat0, lon1, lat1 = cell_bounds(gid, grid)
+    return GeoPoint((lon0 + lon1) / 2.0, (lat0 + lat1) / 2.0)
+
+
+def vocab_wid(vocab: Vocabulary, word: str) -> int:
+    """The id of an interned word; KeyError for any other."""
+    return vocab._wids[word]
+
+
+def vocab_get(vocab: Vocabulary, word: str) -> int | None:
+    """The id of an interned word, or None."""
+    return vocab._wids.get(word)
+
+
+def vocab_has(vocab: Vocabulary, word: str) -> bool:
+    return word in vocab._wids
+
 
 # --- four-record reference database (grid height 1, sigma 2) ---------------
 #
@@ -142,9 +179,12 @@ def build_tree(source, sigma: int, grid: Grid,
 
 
 def node_cells(tree: SpatialTree, node: int) -> dict[int, int]:
-    """One node's leaf-cell counts as a dict."""
-    lo, hi = tree.cell_start[node], tree.cell_start[node + 1]
-    return dict(zip(tree.cell_leaf[lo:hi], tree.cell_count[lo:hi]))
+    """One node's leaf-cell counts as a dict, read off its rank's header run."""
+    r = tree.rank_of[node]
+    lo, hi = tree.head_start[r], tree.head_start[r + 1]
+    return {leaf: count for leaf, n, count
+            in zip(tree.head_leaf[lo:hi], tree.head_node[lo:hi], tree.head_count[lo:hi])
+            if n == node}
 
 
 def node_word(tree: SpatialTree, node: int) -> int:
@@ -189,15 +229,15 @@ def dump(tree: SpatialTree, name_of=None) -> str:
 
 
 def tree_equal(a: SpatialTree, b: SpatialTree) -> bool:
-    """Structural equality: same shape, same per-node cell counts.
+    """Structural equality: same shape, same (word, cell) header.
 
     Nodes are numbered in depth-first order of the sorted records, so
     equal trees have equal arrays.
     """
     return (a.height == b.height and a.words.counts == b.words.counts
             and a.rank_of == b.rank_of and a.parent_of == b.parent_of
-            and a.cell_start == b.cell_start and a.cell_leaf == b.cell_leaf
-            and a.cell_count == b.cell_count)
+            and a.head_start == b.head_start and a.head_leaf == b.head_leaf
+            and a.head_node == b.head_node and a.head_count == b.head_count)
 
 
 def check_mass_conservation(tree: SpatialTree, records, grid: Grid) -> None:
@@ -245,7 +285,23 @@ def tree_cell_totals(tree: SpatialTree) -> dict[tuple[int, int], int]:
 def check_header_consistency(tree: SpatialTree, records, grid: Grid) -> None:
     """The (word, cell) header read off the tree equals the counts taken
     from the in-box records, entry for entry, and ``mine_tree`` counts
-    one header entry each; the nodes of a word are distinct and hold it."""
+    one header entry each; the nodes of a word are distinct and hold it.
+    The header's own layout holds too: one run per rank, each strictly
+    ascending in (leaf, node), of positive counts of nodes of that rank,
+    with every node but the root in exactly one run."""
+    start = tree.head_start
+    assert len(start) == len(tree.words) + 1 and start[0] == 0
+    assert start[-1] == len(tree.head_leaf) == len(tree.head_node) == len(tree.head_count)
+    seen = []
+    for r in range(len(tree.words)):
+        lo, hi = start[r], start[r + 1]
+        assert lo <= hi, r
+        run = list(zip(tree.head_leaf[lo:hi], tree.head_node[lo:hi]))
+        assert all(a < b for a, b in zip(run, run[1:])), r
+        assert all(count >= 1 for count in tree.head_count[lo:hi]), r
+        assert all(tree.rank_of[node] == r for _, node in run), r
+        seen.extend(set(node for _, node in run))
+    assert sorted(seen) == list(range(1, len(tree.rank_of)))
     want = record_cell_counts(records, grid, tree.words)
     assert tree_cell_totals(tree) == want
     # Above every count, mining visits only the root cell of each word.

@@ -26,6 +26,7 @@ from helpers import (
     FUZZ_BBOX,
     REF_GRID,
     REF_PATTERNS,
+    ancestor_at,
     as_supports,
     build_tree,
     check_header_consistency,
@@ -46,7 +47,7 @@ from spatialfp import engine, oracle
 from spatialfp.datagen import GenConfig, PlantedPattern, generate, word_name
 from spatialfp.formats import write_corpus
 from spatialfp.fptree import fp_growth, tree_from_weighted_paths
-from spatialfp.grid import BoundingBox, Gid, Grid, ancestor_at, gid_str
+from spatialfp.grid import BoundingBox, Gid, Grid, gid_str
 from spatialfp.spatial_mining import patterns_to_dict
 
 # Synthetic corpus shape for the timing criteria, fixed after measuring:

@@ -23,6 +23,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import build_tree
+from spatialfp.formats import FileSource
+from spatialfp.grid import BoundingBox, Grid
+from spatialfp.text import Vocabulary
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 HEIGHT = 2
@@ -136,6 +141,15 @@ def test_every_traced_count_is_recorded(perfbench_modules, traced):
     missing = sorted(counts - set(traced["counts"]))
     assert not missing, f"counts the traced run did not record: {missing}"
     assert traced["counts"]["spatial_tree.nodes"] > 0
+
+
+def test_traced_node_count_equals_the_tree_size(traced, corpus):
+    """The tracer counts nodes through ``nodes_of``; the sum over the
+    words must be every node of the same tree but the root."""
+    grid = Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), HEIGHT)
+    sigma = min(int(s) for s in SIGMAS.split(","))
+    tree = build_tree(FileSource(str(corpus), Vocabulary()), sigma, grid)
+    assert traced["counts"]["spatial_tree.nodes"] == len(tree.rank_of) - 1
 
 
 def test_every_summary_value_is_a_finite_number(perfbench_modules, traced):

@@ -312,31 +312,6 @@ def test_check_refuses_oversized_instances_without_force(tmp_path):
     assert forced.stdout.splitlines()[-1] == "identical"
 
 
-def test_bench_table_shape(tmp_path):
-    table_file = tmp_path / "bench.tsv"
-    proc = run_cli("bench", "--bbox", "0,0,4,4", "--height", "2",
-                   "--records", "200,400", "--sigmas", "2,4",
-                   "--vocab", "50", "--words-mean", "4",
-                   "--output", table_file)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0].split("\t") == [
-        "n", "sigma", "first_scan_ms", "tree_build_ms", "growth_ms",
-        "patterns", "word_cell_entries"]
-    assert len(lines) == 5
-    ns, sigmas = [], []
-    for line in lines[1:]:
-        cells = line.split("\t")
-        ns.append(int(cells[0]))
-        sigmas.append(int(cells[1]))
-        for cell in cells[2:5]:
-            assert float(cell) >= 0.0
-        assert int(cells[5]) >= 0 and int(cells[6]) > 0
-    assert ns == [200, 200, 400, 400]
-    assert sigmas == [2, 4, 2, 4]
-    assert table_file.read_text(encoding="utf-8").strip() == proc.stdout.strip()
-
-
 def test_stats_reports_corpus_shape(tmp_path):
     corpus = tmp_path / "gen.jsonl"
     run_cli("gen", "--output", corpus, "--bbox", "0,0,4,4", "--height", "1",
@@ -368,6 +343,24 @@ def test_stats_counts_malformed_lines(tmp_path):
     assert fields["malformed lines"] == "1"
     assert fields["records"] == "1"
     assert "outside bbox" not in fields
+
+
+def test_huge_numbers_count_as_malformed_lines(tmp_path):
+    # An int above float range, and an int literal past the digit limit
+    # of int-from-string conversion; either used to end the run with a
+    # traceback.
+    corpus = tmp_path / "huge.jsonl"
+    good = [json.dumps({"words": ["a", "b"], "lon": 1.0 + i % 3, "lat": 1.0})
+            for i in range(30)]
+    corpus.write_text("\n".join(good + [
+        '{"words": ["a"], "lon": 1' + "0" * 400 + ', "lat": 1.0}',
+        '{"words": ["a"], "lon": 1.0, "lat": ' + "1" * 5000 + '}',
+    ]) + "\n", encoding="utf-8")
+    for proc in [run_cli("mine", "--input", corpus, "--output", tmp_path / "out.jsonl",
+                         "--bbox", "0,0,4,4", "--height", "1", "--sigma", "2"),
+                 run_cli("stats", "--input", corpus)]:
+        assert proc.returncode == 0, proc.stderr
+        assert summary_fields(proc.stdout)["malformed lines"] == "2"
 
 
 @pytest.mark.parametrize("args,code,needle", [

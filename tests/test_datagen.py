@@ -2,9 +2,10 @@ from collections import Counter
 
 import pytest
 
+from helpers import ancestor_at
 from spatialfp.datagen import GenConfig, PlantedPattern, generate, word_name
 from spatialfp.errors import ConfigInvalid
-from spatialfp.grid import BoundingBox, Gid, Grid, ancestor_at, encode
+from spatialfp.grid import BoundingBox, Gid, Grid, encode
 
 GRID = Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), 3)
 

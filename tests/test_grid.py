@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ancestor_at, cell_center, children_of
 from spatialfp.errors import InvalidLevel, MalformedGid, PointOutOfBounds
 from spatialfp.grid import (
     _spread_bits,
@@ -14,10 +15,7 @@ from spatialfp.grid import (
     GeoPoint,
     Gid,
     Grid,
-    ancestor_at,
     cell_bounds,
-    cell_center,
-    children_of,
     choose_height,
     encode,
     gid_str,

@@ -110,11 +110,13 @@ def test_build_tree_structure():
     # Nodes in depth-first order of the sorted records: a, a -> b, b,
     # holding ranks a = 0, b = 1.
     assert list(tree.rank_of) == [-1, 0, 1, 1]
-    assert [list(nodes) for nodes in tree.by_rank] == [[1], [2, 3]]
     assert list(tree.parent_of) == [0, 0, 1, 0]
-    assert list(tree.cell_start) == [0, 0, 2, 3, 4]
-    assert list(tree.cell_leaf) == [0b00, 0b01, 0b00, 0b01]
-    assert list(tree.cell_count) == [2, 1, 2, 1]
+    # The header: rank a's run holds node 1 in both cells, rank b's run
+    # node 2 in cell 00 and node 3 in cell 01, each in (leaf, node) order.
+    assert list(tree.head_start) == [0, 2, 4]
+    assert list(tree.head_leaf) == [0b00, 0b01, 0b00, 0b01]
+    assert list(tree.head_node) == [1, 1, 2, 3]
+    assert list(tree.head_count) == [2, 1, 2, 1]
 
 
 def test_nodes_of_lists_distinct_nodes_per_word():

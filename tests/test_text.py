@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import vocab_get, vocab_has, vocab_wid
 from spatialfp.text import Vocabulary, load_stopwords, refine, tokenize
 
 
@@ -32,7 +33,7 @@ def test_intern_is_idempotent():
     assert vocab.intern("bar") == 1
     assert vocab.intern("pizza") == 0
     assert len(vocab) == 2
-    assert "pizza" in vocab and "tapas" not in vocab
+    assert vocab_has(vocab, "pizza") and not vocab_has(vocab, "tapas")
 
 
 def test_intern_set_assigns_fresh_ids_in_sorted_order():
@@ -48,10 +49,10 @@ def test_wid_word_roundtrip():
     for w in ["a", "b", "c"]:
         vocab.intern(w)
     for wid in range(3):
-        assert vocab.wid(vocab.word(wid)) == wid
-    assert vocab.get("missing") is None
+        assert vocab_wid(vocab, vocab.word(wid)) == wid
+    assert vocab_get(vocab, "missing") is None
     with pytest.raises(KeyError):
-        vocab.wid("missing")
+        vocab_wid(vocab, "missing")
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path):
