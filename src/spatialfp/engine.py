@@ -1,14 +1,14 @@
 """End-to-end mining pipeline: pass one, the sort-built tree, growth.
 
 Pass two turns the in-box records into sorted rank tuples, which build
-the flat-array ``SpatialTree``; ``mine_tree`` emits raw tuples, which
-``canonical`` sorts into the rows of the ``Patterns`` result.
+the flat-array ``SpatialTree``; ``mine_tree`` emits int rows in one
+list per (level, cell, size), which ``canonical`` sorts into the blocks
+of the ``Patterns`` result.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -87,5 +87,6 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     report.first_scan_ms = (t1 - t0) * 1000.0
     report.tree_build_ms = (t2 - t1) * 1000.0
     report.growth_ms = (t3 - t2) * 1000.0
-    report.patterns_by_level = dict(Counter([-row[0] for row in patterns.rows]))
+    for level, _, _, rows in patterns.blocks:
+        report.patterns_by_level[level] = report.patterns_by_level.get(level, 0) + len(rows)
     return patterns, report

@@ -136,15 +136,19 @@ def write_corpus(path: str, records: Iterable[GeoRecord],
 
 
 def write_patterns(path: str, patterns: Patterns, vocab: Vocabulary) -> None:
-    """One JSON object per row, as ``json.dumps(..., ensure_ascii=False)``
+    """One JSON object per pattern, as ``json.dumps(..., ensure_ascii=False)``
     writes it, the words in canonical order (descending global frequency,
-    then id) straight from the row's sorted ranks, each rendered once."""
+    then id) straight from the row's ranks, each word rendered once."""
     frags = [json.dumps(vocab.word(w), ensure_ascii=False) for w in patterns.words.order]
     cell = None
     with open(path, "w", encoding="utf-8") as fh:
-        for neg_level, code, _, ranks, count in patterns.rows:
-            if cell != (neg_level, code):
-                cell = (neg_level, code)
-                head = f'"gid": "{gid_str(Gid(-neg_level, code))}", "level": {-neg_level}'
-            words = ", ".join([frags[r] for r in ranks])
-            fh.write(f'{{"words": [{words}], {head}, "count": {count}}}\n')
+        for level, code, size, rows in patterns.blocks:
+            if cell != (level, code):
+                cell = (level, code)
+                head = f'"gid": "{gid_str(Gid(level, code))}", "level": {level}'
+            # One write per slice of rows: fewer calls, and no whole
+            # block's text held at once.
+            for lo in range(0, len(rows), 4096):
+                lines = [f'{{"words": [{", ".join(words)}], {head}, "count": {count}}}\n'
+                         for words, count in patterns.decode(size, rows[lo:lo + 4096], frags)]
+                fh.write("".join(lines))

@@ -10,6 +10,10 @@ bit, so a cell's pairs, a bit range, are that cell's base. An item's
 tidset is the int of its paths' bits, and the weights are split into
 bit planes. An extension's tidset is the AND of two siblings' tidsets;
 its support is the sum over the planes of ``(tids & plane).bit_count() << k``.
+Siblings are kept in descending item order, set once when a base is
+built, so that each extension adds an item smaller than those it joins:
+growth packs an itemset into one int by placing each new item one slot
+above the last, and sorts nothing.
 
 The benchmark's tracer times base builds and growth by wrapping
 ``tree_from_weighted_paths`` and ``fp_growth`` where ``spatial_mining``
@@ -18,12 +22,11 @@ looks them up, so they keep the FP-tree miner's names (ROADMAP item 1).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Sequence
 
 
 class VerticalBase(list):
-    """``(item, tidset, support)`` per kept item, ascending support, and
+    """``(item, tidset, support)`` per kept item, descending item, and
     ``planes``: ``(k, bits of the paths whose weight has bit k set)``."""
 
     __slots__ = ("planes",)
@@ -59,14 +62,14 @@ def tree_from_weighted_paths(paths: Sequence[tuple[tuple[int, ...], int]],
     weights = [weight for _, weight in reversed(paths)]
     base.planes = [(k, plane) for k in range(max(weights).bit_length())
                    if (plane := int("".join(["01"[w >> k & 1] for w in weights]), 2))]
-    base.extend(sorted([(item, int.from_bytes(tids[item], "little"), totals[item])
-                        for item in keep], key=itemgetter(2)))
+    base.extend([(item, int.from_bytes(tids[item], "little"), totals[item])
+                 for item in sorted(keep, reverse=True)])
     return base
 
 
 def cell_base(base: VerticalBase, lo: int, hi: int, minsup: int) -> VerticalBase:
     """The vertical base of bits ``[lo, hi)`` of ``base``, renumbered from
-    0, keeping the items whose support there reaches ``minsup``."""
+    0, keeping the items whose support there reaches ``minsup``, in order."""
     mask = (1 << (hi - lo)) - 1
     cell = VerticalBase()
     cell.planes = planes = [(k, bits) for k, plane in base.planes
@@ -76,22 +79,28 @@ def cell_base(base: VerticalBase, lo: int, hi: int, minsup: int) -> VerticalBase
             support = sum([(tids & plane).bit_count() << k for k, plane in planes])
             if support >= minsup:
                 cell.append((item, tids, support))
-    cell.sort(key=itemgetter(2))
     return cell
 
 
-def fp_growth(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], int]]:
-    """All itemsets with support >= minsup, as ``(items, support)`` pairs
-    with their exact support. Each itemset appears once."""
+def fp_growth(base: VerticalBase, minsup: int, key: int, shift: int,
+              width: int) -> list[list[int]]:
+    """All itemsets with support >= minsup, each joined to the suffix
+    ``key`` as one int: its items packed ``width`` bits apart from bit
+    ``shift`` up, the smallest item highest, OR'ed with its exact support,
+    for which the caller keeps the bits below ``key`` and ``shift`` free.
+    List ``k`` holds the itemsets of ``k + 1`` items; each appears once."""
     if minsup < 1:
         raise ValueError(f"minsup must be >= 1, got {minsup}")
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[list[int]] = []
     planes = base.planes
 
-    def walk(prefix: tuple[int, ...], siblings: list[tuple[int, int, int]]) -> None:
+    def walk(key: int, shift: int, depth: int, siblings: list) -> None:
+        if depth == len(out):
+            out.append([])
+        rows = out[depth]
         for i, (item, tids, support) in enumerate(siblings):
-            items = (*prefix, item)
-            out.append((items, support))
+            grown = item << shift | key
+            rows.append(grown | support)
             ext = []
             for other, other_tids, _ in siblings[i + 1:]:
                 both = tids & other_tids
@@ -99,8 +108,8 @@ def fp_growth(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], in
                 if weight >= minsup:
                     ext.append((other, both, weight))
             if ext:
-                ext.sort(key=itemgetter(2))
-                walk(items, ext)
+                walk(grown, shift + width, depth + 1, ext)
 
-    walk((), base)
+    if base:
+        walk(key, shift, 0, base)
     return out

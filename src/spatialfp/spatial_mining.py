@@ -7,17 +7,18 @@ vertical (Eclat) search, in ``fptree``. Ranks are visited in reverse
 global order, each once for all levels. A rank's run of the tree's
 (word, cell) header, in leaf order, makes the word's one vertical base;
 quad-tree cells nest, so any cell is one leaf-code range of both. Every
-pattern is emitted as a raw tuple at the cell where it reached the
-threshold, with its exact per-cell support; ``canonical`` sorts the
-tuples into the rows of a ``Patterns`` result.
+pattern is one int row (see ``row_layout``), appended at the cell where
+it reached the threshold, with its exact per-cell support, to the list
+of its (level, cell, size); ``canonical`` sorts each list, plain ints,
+into a block of the ``Patterns`` result.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fptree import cell_base, fp_growth, tree_from_weighted_paths
 from .grid import Gid
@@ -48,7 +49,18 @@ def expand_sigmas(sigma: int | Sequence[int], height: int) -> list[int]:
     return sigmas
 
 
-RawPattern = tuple[tuple[int, ...], int, int, int]  # (ranks, level, code, count)
+CellRows = dict[tuple[int, int], list[list[int]]]  # (level, code) -> rows per size, 1 first
+
+
+def row_layout(words: WordTable) -> tuple[int, int]:
+    """``(width, cbits)`` of a pattern row, ``packed << cbits | count``:
+    ``packed`` holds the pattern's ranks ascending, ``width`` bits each,
+    the smallest most significant, and ``cbits`` bits hold the largest
+    global count, which bounds every count in a cell. So among the rows
+    of one (level, cell, size) int order is canonical order."""
+    width = (len(words.order) - 1).bit_length()
+    cbits = words.counts[words.order[0]].bit_length() if words.order else 0
+    return width, cbits
 
 
 def _prefix_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
@@ -63,15 +75,18 @@ def _prefix_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[list[RawPattern], int]:
-    """All spatially frequent rank sets at every level, unsorted, as
-    ``(ranks, level, code, count)`` tuples with the ranks suffix first,
-    plus the number of (word, leaf cell) header entries.
+def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
+    """All spatially frequent rank sets at every level as pattern rows
+    (see ``row_layout``), unsorted, in one list per (level, cell, size):
+    list ``k`` of cell ``(level, code)`` holds the rows of ``k + 1``
+    ranks. Also the number of (word, leaf cell) header entries.
 
     Visits each rank once: its header run, in leaf order, is one
     contiguous range per cell at any level, which gives the cell's total
     through a prefix sum and its bit range in the word's one vertical
-    base. Cells are searched from the root down.
+    base. Cells are searched from the root down. A rank is the largest
+    of its patterns, as its base holds the ranks above its nodes, so its
+    own slot is the least significant and growth adds slots above it.
     """
     height = tree.height
     if len(sigmas) != height + 1:
@@ -79,11 +94,12 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[list[RawPattern
     if not tree.finalized:
         raise RuntimeError("the tree is read only after finalize()")
     start, parent_of = tree.head_start, tree.parent_of
+    width, cbits = row_layout(tree.words)
     floor = min(sigmas)
     # A cell's total bounds its children's, so below the smallest sigma
     # of the levels under it no cell inside it is frequent.
     reach = [min(sigmas[level + 1:]) for level in range(height)]
-    out: list[RawPattern] = []
+    out: CellRows = {}
     header_entries = 0
     for r in range(len(tree.words) - 1, -1, -1):
         run = slice(start[r], start[r + 1])
@@ -112,12 +128,17 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[list[RawPattern
             total = acc[hi] - acc[lo]
             sigma = sigmas[level]
             if total >= sigma:
-                out.append(((r,), level, code, total))
+                lists = out.setdefault((level, code), [[]])
+                lists[0].append(r << cbits | total)
                 if base:
                     cond = cell_base(base, lo, hi, sigma)
                     if cond:
-                        out.extend([((r, *items), level, code, count)
-                                    for items, count in fp_growth(cond, sigma)])
+                        grown = fp_growth(cond, sigma, r << cbits, cbits + width, width)
+                        for k, rows in enumerate(grown, 1):
+                            if k < len(lists):
+                                lists[k] += rows
+                            else:
+                                lists.append(rows)
             if level < height and total >= reach[level]:
                 bound, shift = reach[level], 2 * (height - level - 1)
                 while lo < hi:  # each child holding an entry
@@ -130,41 +151,62 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[list[RawPattern
 
 
 class Patterns(Sequence[SpatialPattern]):
-    """Patterns in canonical order, kept as sorted ``(-level, code, size,
-    ranks, count)`` rows plus the ``WordTable`` naming their ranks; each is
-    built when read, and in-order iteration shares one ``Gid`` per cell."""
+    """Patterns in canonical order, kept as ``(level, code, size, rows)``
+    blocks, one per (level, cell, size), each ``rows`` a sorted list of
+    pattern rows (see ``row_layout``), plus the ``WordTable`` naming
+    their ranks. Each pattern is built when read, a slice as a list, and
+    in-order iteration shares one ``Gid`` per cell."""
 
-    def __init__(self, rows: list[tuple[int, int, int, tuple[int, ...], int]],
-                 words: WordTable):
-        self.rows = rows
+    def __init__(self, blocks: list[tuple[int, int, int, list[int]]], words: WordTable):
+        self.blocks = blocks
         self.words = words
+        self.width, self.cbits = row_layout(words)
+        self.ends = list(accumulate([len(rows) for *_, rows in blocks]))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.ends[-1] if self.ends else 0
+
+    def decode(self, size: int, rows: list[int],
+               names: Sequence) -> Iterator[tuple[tuple, int]]:
+        """Each row of ``size`` ranks as the tuple of its ranks, ascending,
+        looked up in ``names``, and its count; decoded slot by slot."""
+        mask, low = (1 << self.width) - 1, (1 << self.cbits) - 1
+        shifts = [self.cbits + self.width * k for k in reversed(range(size))]
+        slots = [[names[row >> shift & mask] for row in rows] for shift in shifts]
+        return zip(zip(*slots), [row & low for row in rows])
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Patterns(self.rows[i], self.words)
-        return next(iter(Patterns([self.rows[i]], self.words)))
+        i = range(len(self))[i]  # negatives wrapped, IndexError past either end
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        b = bisect_right(self.ends, i)
+        level, code, size, rows = self.blocks[b]
+        at = i - (self.ends[b - 1] if b else 0)
+        [(words, count)] = self.decode(size, rows[at:at + 1], self.words.order)
+        return SpatialPattern(frozenset(words), Gid(level, code), count)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[SpatialPattern]:
         order, gid = self.words.order, None
-        for neg_level, code, _, ranks, count in self.rows:
-            if gid is None or code != gid.code or -neg_level != gid.level:
-                gid = Gid(-neg_level, code)
-            yield SpatialPattern(frozenset([order[r] for r in ranks]), gid, count)
+        for level, code, size, rows in self.blocks:
+            if gid != (level, code):
+                gid = Gid(level, code)
+            for words, count in self.decode(size, rows, order):
+                yield SpatialPattern(frozenset(words), gid, count)
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (list, Patterns)) else NotImplemented
 
 
-def canonical(raw: list[RawPattern], words: WordTable) -> Patterns:
-    """Raw tuples, ranks in any order, re-keyed in place and sorted into
-    canonical order: level descending, then cell, size and ranks."""
-    for i, (ranks, level, code, count) in enumerate(raw):
-        raw[i] = (-level, code, len(ranks), tuple(sorted(ranks)), count)
-    raw.sort()
-    return Patterns(raw, words)
+def canonical(raw: CellRows, words: WordTable) -> Patterns:
+    """``mine_tree``'s lists, each sorted in place, as the blocks of a
+    ``Patterns`` in canonical order: level descending, then cell, size
+    and ranks."""
+    blocks = []
+    for level, code in sorted(raw, key=lambda cell: (-cell[0], cell[1])):
+        for size, rows in enumerate(raw[level, code], 1):
+            rows.sort()
+            blocks.append((level, code, size, rows))
+    return Patterns(blocks, words)
 
 
 def patterns_to_dict(patterns: Iterable[SpatialPattern]) -> dict[tuple[frozenset[int], int, int], int]:

@@ -48,9 +48,6 @@ class WordTable:
     def __len__(self) -> int:
         return len(self.order)
 
-    def __contains__(self, wid: int) -> bool:
-        return wid in self.counts
-
 
 class Columns:
     """The in-box records of one read as compact arrays: record ``i``

@@ -13,8 +13,10 @@ from typing import Sequence
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
 from spatialfp.errors import InvalidLevel, PointOutOfBounds, SpatialFpError
 from spatialfp.formats import MalformedRecord
+from spatialfp.fptree import VerticalBase, fp_growth
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode, gid_str
-from spatialfp.spatial_mining import Patterns, SpatialPattern, canonical, mine_tree
+from spatialfp.spatial_mining import (CellRows, Patterns, SpatialPattern, canonical, mine_tree,
+                                      row_layout)
 from spatialfp.spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
                                    scan_counts, sorted_records)
 from spatialfp.text import GeoRecord, Vocabulary, tokenize
@@ -267,7 +269,7 @@ def record_cell_counts(records, grid: Grid, words: WordTable) -> dict[tuple[int,
         except PointOutOfBounds:
             continue
         for w in rec.words:
-            if w in words:
+            if w in words.rank:
                 out[(w, leaf)] = out.get((w, leaf), 0) + 1
     return out
 
@@ -305,7 +307,7 @@ def check_header_consistency(tree: SpatialTree, records, grid: Grid) -> None:
     want = record_cell_counts(records, grid, tree.words)
     assert tree_cell_totals(tree) == want
     # Above every count, mining visits only the root cell of each word.
-    assert mine_tree(tree, [len(records) + 1] * (tree.height + 1)) == ([], len(want))
+    assert mine_tree(tree, [len(records) + 1] * (tree.height + 1)) == ({}, len(want))
     for wid in tree.words.order:
         nodes = tree.nodes_of(wid)
         assert len(nodes) == len(set(nodes)), wid
@@ -433,9 +435,10 @@ def mine_patterns(tree: SpatialTree, sigmas) -> Patterns:
 
 
 def canonical_patterns(raw, words: WordTable) -> list[SpatialPattern]:
-    """The reference for ``canonical``: raw tuples, ranks in any order,
-    turned into a list of pattern objects in canonical order (level
-    descending, then cell, size and ranks), one ``Gid`` per cell."""
+    """The reference for ``canonical``: ``(ranks, level, code, count)``
+    tuples, ranks in any order, turned into a list of pattern objects in
+    canonical order (level descending, then cell, size and ranks), one
+    ``Gid`` per cell."""
     rows = sorted((-level, code, len(ranks), tuple(sorted(ranks)), count)
                   for ranks, level, code, count in raw)
     order, gid, out = words.order, None, []
@@ -446,13 +449,67 @@ def canonical_patterns(raw, words: WordTable) -> list[SpatialPattern]:
     return out
 
 
+# --- pattern rows, packed and unpacked by their own arithmetic -------------
+#
+# A row is ``packed << cbits | count``, ``packed`` the ranks ascending,
+# ``width`` bits each, the smallest in the most significant slot.
+
+
+def pack_row(ranks, count: int, width: int, cbits: int) -> int:
+    assert 0 <= count < 1 << cbits and all(0 <= r < 1 << width for r in ranks)
+    packed = 0
+    for r in sorted(ranks):
+        packed = packed << width | r
+    return packed << cbits | count
+
+
+def unpack_row(row: int, size: int, width: int, cbits: int) -> tuple[tuple[int, ...], int]:
+    """(ranks ascending, count) of a row of ``size`` ranks."""
+    count, packed = row & ((1 << cbits) - 1), row >> cbits
+    ranks = []
+    for _ in range(size):
+        ranks.append(packed & ((1 << width) - 1))
+        packed >>= width
+    assert packed == 0, row
+    return tuple(reversed(ranks)), count
+
+
+def pack_rows(raw, words: WordTable) -> CellRows:
+    """``(ranks, level, code, count)`` tuples, ranks in any order, as
+    ``mine_tree`` returns them: one list of rows per (level, cell, size)."""
+    width, cbits = row_layout(words)
+    out: CellRows = {}
+    for ranks, level, code, count in raw:
+        lists = out.setdefault((level, code), [])
+        while len(lists) < len(ranks):
+            lists.append([])
+        lists[len(ranks) - 1].append(pack_row(ranks, count, width, cbits))
+    return out
+
+
+def unpack_rows(raw: CellRows, words: WordTable) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """``mine_tree``'s rows as ``(ranks, level, code, count)`` tuples."""
+    width, cbits = row_layout(words)
+    out = []
+    for (level, code), lists in raw.items():
+        for size, rows in enumerate(lists, 1):
+            for row in rows:
+                ranks, count = unpack_row(row, size, width, cbits)
+                out.append((ranks, level, code, count))
+    return out
+
+
 def as_result(patterns, words: WordTable) -> Patterns:
-    """Pattern objects as the rows of a ``Patterns`` result, in the order
-    given, for feeding the writer hand-made input."""
-    rank = words.rank
-    return Patterns([(-p.gid.level, p.gid.code, len(p.words),
-                      tuple(sorted(rank[w] for w in p.words)), p.count)
-                     for p in patterns], words)
+    """Pattern objects as the blocks of a ``Patterns`` result, in the
+    order given, for feeding the writer hand-made input."""
+    width, cbits = row_layout(words)
+    rank, blocks = words.rank, []
+    for p in patterns:
+        head = (p.gid.level, p.gid.code, len(p.words))
+        if not blocks or blocks[-1][:3] != head:
+            blocks.append((*head, []))
+        blocks[-1][3].append(pack_row([rank[w] for w in p.words], p.count, width, cbits))
+    return Patterns(blocks, words)
 
 
 def level_table(tree: SpatialTree, level: int, sigma: int) -> dict[tuple[int, int], int]:
@@ -486,7 +543,7 @@ def cell_conditional_tree(tree: SpatialTree, wid: int, gid: Gid,
     by the node's leaf counts that fall inside ``gid``; words whose
     conditional total misses sigma are pruned.
     """
-    if wid not in tree.words:
+    if wid not in tree.words.rank:
         raise UnknownEntry(f"word {wid} is not retained in this tree")
     shift = 2 * (tree.height - gid.level)
     paths = []
@@ -518,8 +575,16 @@ def build_fp_tree(transactions, minsup: int) -> Base:
     return path_base(ordered_paths(transactions, minsup), minsup)
 
 
+def growth_pairs(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], int]]:
+    """``fptree.fp_growth`` on an empty suffix, its rows unpacked into
+    (items, support) pairs, items ascending, by size. Items below 2**16
+    and supports below 2**48 fit."""
+    return [unpack_row(row, k + 1, 16, 48)
+            for k, rows in enumerate(fp_growth(base, minsup, 0, 48, 16)) for row in rows]
+
+
 def as_supports(itemsets) -> dict[frozenset[int], int]:
-    """``fptree.fp_growth``'s (items, support) pairs keyed by item set."""
+    """(items, support) pairs keyed by item set."""
     return {frozenset(items): support for items, support in itemsets}
 
 

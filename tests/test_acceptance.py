@@ -36,6 +36,7 @@ from helpers import (
     check_subset_closure,
     check_upward_closure,
     fuzz_instance,
+    growth_pairs,
     mine_patterns,
     ordered_paths,
     reference_records,
@@ -46,7 +47,7 @@ from helpers import (
 from spatialfp import engine, oracle
 from spatialfp.datagen import GenConfig, PlantedPattern, generate, word_name
 from spatialfp.formats import write_corpus
-from spatialfp.fptree import fp_growth, tree_from_weighted_paths
+from spatialfp.fptree import tree_from_weighted_paths
 from spatialfp.grid import BoundingBox, Gid, Grid, gid_str
 from spatialfp.spatial_mining import patterns_to_dict
 
@@ -165,7 +166,7 @@ def test_c2_worked_micro_examples(capsys):
 
         # Five-transaction database: exactly eight itemsets at minsup 2.
         paths = ordered_paths(DINING_TRANSACTIONS, 2)
-        got = as_supports(fp_growth(tree_from_weighted_paths(paths, 2), 2))
+        got = as_supports(growth_pairs(tree_from_weighted_paths(paths, 2), 2))
         assert got == DINING_EXPECTED
 
         # Cell id hierarchy walk.

@@ -13,17 +13,18 @@ from helpers import (
     RESTAURANT,
     as_supports,
     build_fp_tree,
+    growth_pairs,
     ordered_paths,
     path_base,
     path_growth,
     powerset_counts,
 )
-from spatialfp.fptree import cell_base, fp_growth, tree_from_weighted_paths
+from spatialfp.fptree import cell_base, tree_from_weighted_paths
 
 
 def mine(paths, minsup):
     """Both steps of the vertical miner, keyed by item set."""
-    found = fp_growth(tree_from_weighted_paths(paths, minsup), minsup)
+    found = growth_pairs(tree_from_weighted_paths(paths, minsup), minsup)
     supports = as_supports(found)
     assert len(supports) == len(found)  # every itemset emitted once
     return supports
@@ -58,7 +59,7 @@ def test_conditional_tree_prunes_below_minsup():
     cond = tree_from_weighted_paths(prefixes, 2)
     assert list(cond) == [(EXPENSIVE, 0b11, 2)]
     assert cond.planes == [(0, 0b11)]
-    assert fp_growth(cond, 2) == [((EXPENSIVE,), 2)]
+    assert growth_pairs(cond, 2) == [((EXPENSIVE,), 2)]
     assert path_base(prefixes, 2) == {(EXPENSIVE,): 2}
 
 
@@ -69,17 +70,17 @@ def test_shared_prefixes_collapse():
     # 2), the path (0, 2) bit 1; supports are those of the merged paths.
     assert list(base) == [(2, 0b010, 1), (1, 0b101, 3), (0, 0b111, 4)]
     assert base.planes == [(0, 0b011), (1, 0b100)]
-    assert as_supports(fp_growth(base, 1)) == {
+    assert as_supports(growth_pairs(base, 1)) == {
         frozenset({0}): 4, frozenset({1}): 3, frozenset({2}): 1,
         frozenset({0, 1}): 3, frozenset({0, 2}): 1}
     assert path_base(pairs, 1) == {(0, 1): 3, (0, 2): 1}
-    assert path_growth(path_base(pairs, 1), 1) == as_supports(fp_growth(base, 1))
+    assert path_growth(path_base(pairs, 1), 1) == as_supports(growth_pairs(base, 1))
 
 
 def test_weighted_paths_drop_everything_below_minsup():
     base = tree_from_weighted_paths([((0,), 1)], 2)
     assert not base
-    assert fp_growth(base, 2) == []
+    assert growth_pairs(base, 2) == []
 
 
 def test_insert_path_rejects_nonpositive_count():
@@ -91,7 +92,7 @@ def test_insert_path_rejects_nonpositive_count():
 
 def test_fp_growth_rejects_bad_minsup():
     with pytest.raises(ValueError):
-        fp_growth(tree_from_weighted_paths([((0,), 1)], 1), 0)
+        growth_pairs(tree_from_weighted_paths([((0,), 1)], 1), 0)
 
 
 transactions = st.lists(
@@ -162,6 +163,6 @@ def test_cell_slices_match_the_path_reference(pairs, data):
     minsup = data.draw(st.integers(min_value=1, max_value=max(totals.values(), default=0) + 1))
     floor = data.draw(st.integers(min_value=1, max_value=minsup))
     cell = cell_base(tree_from_weighted_paths(pairs, floor), lo, hi, minsup)
-    assert [support for _, _, support in cell] == sorted(support for _, _, support in cell)
-    assert as_supports(fp_growth(cell, minsup)) == path_growth(path_base(pairs[lo:hi], minsup),
+    assert [item for item, _, _ in cell] == sorted((item for item, _, _ in cell), reverse=True)
+    assert as_supports(growth_pairs(cell, minsup)) == path_growth(path_base(pairs[lo:hi], minsup),
                                                                minsup)

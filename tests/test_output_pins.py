@@ -1,4 +1,4 @@
-"""Pinned output bytes of ``spatialfp mine`` on two seeded corpora.
+"""Pinned output bytes of ``spatialfp mine`` on three seeded corpora.
 
 The corpora are written by this file from ``random.Random(seed).random()``
 alone, whose stream Python keeps stable across versions, with integer
@@ -14,9 +14,12 @@ per-level pattern counts:
 positions, Zipf-like words, height 5). ``text`` is free text around hot
 spots at height 9 with per-level sigmas: case folding, Unicode letters,
 JSON escapes, ``NaN`` and other malformed lines, blank lines and
-out-of-box points. The pins were verified once with a complete check
-(every pattern of every cell that holds a frequent pair, enumerated
-independently of the miner) before they were committed.
+out-of-box points. ``dense`` has the shape of the benchmark's
+``dense_growth``: long records over a small vocabulary at height 3, so
+that cells hold patterns of 6 and 7 words. The pins were verified once
+with a complete check (every pattern of every cell that holds a
+frequent pair, enumerated independently of the miner) before they were
+committed.
 """
 
 import contextlib
@@ -31,6 +34,7 @@ import pytest
 from spatialfp import cli
 
 C4_BBOX = (-10.0, -5.0, 10.0, 5.0)
+DENSE_BBOX = C4_BBOX
 TEXT_BBOX = (-74.3, 40.5, -73.7, 40.9)
 
 
@@ -55,6 +59,22 @@ def c4_lines(seed: int, n: int = 20_000, vocab: int = 10_000) -> list[str]:
         wids = sorted({min(bisect_left(cdf, rnd()), vocab - 1) for _ in range(k)})
         words = ", ".join(f'"w{w:05d}"' for w in wids)
         lines.append(f'{{"id": "r{i:05d}", "words": [{words}], '
+                     f'"lon": {lon!r}, "lat": {lat!r}}}\n')
+    return lines
+
+
+def dense_lines(seed: int, n: int = 2_000, vocab: int = 150) -> list[str]:
+    """Uniform positions; 10-25 Zipf words a record, duplicates collapsed."""
+    rnd = random.Random(seed).random
+    cdf = _harmonic_cdf(vocab)
+    lines = []
+    for i in range(n):
+        lon = DENSE_BBOX[0] + rnd() * (DENSE_BBOX[2] - DENSE_BBOX[0])
+        lat = DENSE_BBOX[1] + rnd() * (DENSE_BBOX[3] - DENSE_BBOX[1])
+        k = 10 + int(rnd() * 16)
+        wids = sorted({min(bisect_left(cdf, rnd()), vocab - 1) for _ in range(k)})
+        words = ", ".join(f'"d{w:03d}"' for w in wids)
+        lines.append(f'{{"id": "d{i:04d}", "words": [{words}], '
                      f'"lon": {lon!r}, "lat": {lat!r}}}\n')
     return lines
 
@@ -137,6 +157,7 @@ def text_lines(seed: int, n: int = 4_000) -> list[str]:
 
 CASES = {
     "c4": (lambda: c4_lines(17), C4_BBOX, 5, "6"),
+    "dense": (lambda: dense_lines(43), DENSE_BBOX, 3, "20"),
     "text": (lambda: text_lines(29), TEXT_BBOX, 9, "60,48,40,32,26,20,15,11,8,5"),
 }
 
@@ -145,6 +166,9 @@ PINS = {
     "c4": ("0c6d24a5deaea594673c084673a24696839878b943b70eeb29e4fee98e718274",
            "bd378178efd97add08996fbe0033cd56c81acec600800d648bc53e0d071403cb",
            [7425, 5779, 4384, 3279, 2331, 1261]),
+    "dense": ("67ad6903d41947433f82a61ebbec3cc8b88876d2cc24f36a26a0f337ff148e7e",
+              "17b21d1beff36a7f197e0d6c44f6194d5c9d145fe60fd9ab3afd4cf881aef42f",
+              [15592, 5865, 1731, 296]),
     "text": ("3b66249f9f69fcc4e45e0a54a5ee5eb2f7e3de650bc8fae71273e40b4bb2f43d",
              "cc7d6109a640a8ba6334f105f3367fca3b9a08749c7b1043a5d974ae7bf1f9bf",
              [83, 105, 123, 150, 176, 215, 224, 178, 96, 71]),

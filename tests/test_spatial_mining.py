@@ -1,6 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     FUZZ_BBOX,
@@ -18,9 +21,11 @@ from helpers import (
     fuzz_instance,
     level_table,
     mine_patterns,
+    pack_rows,
     path_growth,
     reference_records,
     reverse_entries,
+    unpack_rows,
 )
 from spatialfp import engine, spatial_mining
 from spatialfp.datagen import GenConfig, generate
@@ -32,6 +37,7 @@ from spatialfp.spatial_mining import (
     expand_sigmas,
     mine_tree,
     patterns_to_dict,
+    row_layout,
 )
 from spatialfp.text import GeoRecord
 
@@ -89,13 +95,17 @@ def test_cell_conditional_tree_unknown_word(ref_tree):
 
 
 def test_mine_tree_reference_output(ref_tree):
-    # Raw tuples carry ranks (a = 0, b = 1), suffix first; a and b are
-    # each in both leaf cells, four header entries.
+    # Rows pack ranks (a = 0, b = 1), one bit each, above two count bits,
+    # in one list per cell and size; a and b are each in both leaf
+    # cells, four header entries.
     raw, header_entries = mine_tree(ref_tree, [2, 2])
-    assert sorted(raw) == [
+    assert {cell: [sorted(rows) for rows in lists] for cell, lists in raw.items()} == {
+        (0, 0): [[0b0_11, 0b1_11], [0b01_10]],
+        (1, 0b00): [[0b0_10, 0b1_10], [0b01_10]]}
+    assert sorted(unpack_rows(raw, ref_tree.words)) == [
         ((0,), 0, 0, 3), ((0,), 1, 0b00, 2),
-        ((1,), 0, 0, 3), ((1,), 1, 0b00, 2),
-        ((1, 0), 0, 0, 2), ((1, 0), 1, 0b00, 2)]
+        ((0, 1), 0, 0, 2), ((0, 1), 1, 0b00, 2),
+        ((1,), 0, 0, 3), ((1,), 1, 0b00, 2)]
     assert header_entries == 4
     patterns = mine_patterns(ref_tree, [2, 2])
     assert patterns_to_dict(patterns) == REF_PATTERNS
@@ -142,16 +152,24 @@ def test_slices_below_sigma_never_build_a_base(monkeypatch):
 
 def test_sort_patterns_restores_canonical_order(ref_tree):
     patterns = mine_patterns(ref_tree, [2, 2])
-    # Raw tuples the way mine_tree emits them: ranks suffix first.
     rank = ref_tree.words.rank
-    raw = [(tuple(sorted((rank[w] for w in p.words), reverse=True)),
-            p.gid.level, p.gid.code, p.count) for p in patterns]
-    assert any(ranks != tuple(sorted(ranks)) for ranks, *_ in raw)
-    random.Random(5).shuffle(raw)
+    raw = pack_rows([(tuple(rank[w] for w in p.words), p.gid.level, p.gid.code, p.count)
+                     for p in patterns], ref_tree.words)
+    for lists in raw.values():
+        for rows in lists:
+            rows.reverse()
+    assert any(rows != sorted(rows) for lists in raw.values() for rows in lists)
     got = canonical(raw, ref_tree.words)
     assert got == patterns
     # One Gid object per cell, shared by its patterns.
     assert len({id(p.gid) for p in got}) == len({p.gid for p in got}) == 2
+
+
+def _shuffled(raw, rnd):
+    for lists in raw.values():
+        for rows in lists:
+            rnd.shuffle(rows)
+    return raw
 
 
 @pytest.mark.parametrize("seed", [0, 5, 23])
@@ -159,8 +177,8 @@ def test_canonical_rows_match_the_object_reference(seed):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
     raw, _ = mine_tree(tree, [sigma] * (grid.height + 1))
-    random.Random(seed).shuffle(raw)
-    want = canonical_patterns(raw, tree.words)
+    raw = _shuffled(raw, random.Random(seed))
+    want = canonical_patterns(unpack_rows(raw, tree.words), tree.words)
     got = canonical(raw, tree.words)
     assert len(want) > 3
     assert list(got) == want and got == want and want == got
@@ -171,6 +189,38 @@ def test_canonical_rows_match_the_object_reference(seed):
         got[len(want)]
     assert got[1:-1] == want[1:-1] and got[::-2] == want[::-2]
     assert got != want[:-1]
+    if seed == 23:
+        # Slices crossing list boundaries, both ways, from every start.
+        sizes = [len(rows) for *_, rows in got.blocks]
+        assert len(sizes) > 4 and min(sizes) < 4
+        for lo in range(len(want)):
+            assert got[lo:lo + 5] == want[lo:lo + 5]
+            assert got[lo::-3] == want[lo::-3]
+
+
+@given(st.integers(min_value=1, max_value=32), st.data())
+@settings(max_examples=120, deadline=None)
+def test_rows_at_the_layout_extremes_match_the_object_reference(width, data):
+    # A stand-in word table: ranks 0 .. 2**width - 1 name themselves, and
+    # the largest count sets the count bits.
+    top = data.draw(st.integers(min_value=1, max_value=2 ** 40))
+    words = SimpleNamespace(order=range(1 << width), counts={0: top})
+    assert row_layout(words) == (width, top.bit_length())
+    cells = data.draw(st.lists(
+        st.integers(min_value=0, max_value=31).flatmap(
+            lambda level: st.tuples(st.just(level), st.integers(0, 4 ** level - 1))),
+        min_size=1, max_size=4, unique=True))
+    raw = {}
+    for level, code in cells:
+        for ranks in data.draw(st.lists(
+                st.frozensets(st.integers(0, (1 << width) - 1), min_size=1, max_size=20),
+                min_size=1, max_size=8, unique=True)):
+            raw[ranks, level, code] = data.draw(st.integers(min_value=1, max_value=top))
+    raw = [(tuple(ranks), level, code, count) for (ranks, level, code), count in raw.items()]
+    want = canonical_patterns(raw, words)
+    got = canonical(_shuffled(pack_rows(raw, words), random.Random(len(raw))), words)
+    assert list(got) == want
+    assert [got[i] for i in range(len(want))] == want
 
 
 def _composed_mine(tree, sigmas):

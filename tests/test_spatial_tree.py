@@ -49,7 +49,7 @@ def test_first_scan_counts_and_prunes():
     assert words.counts == {A: 3, B: 3}
     assert words.order == [A, B]
     assert words.rank == {A: 0, B: 1}
-    assert C not in words
+    assert C not in words.rank
     # The (word, cell) header, read off the tree, has no entry of c.
     header = {(A, 0b00): 2, (A, 0b01): 1, (B, 0b00): 2, (B, 0b01): 1}
     assert record_cell_counts(reference_records(), REF_GRID, words) == header
