@@ -49,7 +49,10 @@ def _make_grid(args) -> Grid:
             return Grid(bbox, args.height)
         except ValueError as exc:
             raise _Abort(str(exc), 2) from None
-    return Grid(bbox, choose_height(bbox, args.cell_meters))
+    try:
+        return Grid(bbox, choose_height(bbox, args.cell_meters))
+    except ValueError as exc:
+        raise _Abort(f"--cell-meters: {exc}", 2) from None
 
 
 def _parse_sigmas(s: str, height: int) -> list[int]:
@@ -72,6 +75,12 @@ def _load_stopwords(args) -> frozenset[str]:
     return frozenset()
 
 
+def _file_source(args, vocab: Vocabulary) -> FileSource:
+    if args.limit is not None and args.limit < 0:
+        raise _Abort(f"--limit must be >= 0, got {args.limit}", 2)
+    return FileSource(args.input, vocab, _load_stopwords(args), limit=args.limit)
+
+
 def _grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bbox", required=True,
                    help="minLon,minLat,maxLon,maxLat of the grid")
@@ -85,7 +94,7 @@ def cmd_mine(args) -> int:
     grid = _make_grid(args)
     sigmas = _parse_sigmas(args.sigma, grid.height)
     vocab = Vocabulary()
-    source = FileSource(args.input, vocab, _load_stopwords(args), limit=args.limit)
+    source = _file_source(args, vocab)
 
     def guard():
         if source.lines_read and source.malformed / source.lines_read > MALFORMED_ABORT_RATIO:
@@ -165,7 +174,7 @@ def cmd_check(args) -> int:
     grid = _make_grid(args)
     sigmas = _parse_sigmas(args.sigma, grid.height)
     vocab = Vocabulary()
-    source = FileSource(args.input, vocab, _load_stopwords(args), limit=args.limit)
+    source = _file_source(args, vocab)
     records = list(source)
 
     distinct = len({w for r in records for w in r.words})
@@ -198,7 +207,7 @@ def cmd_check(args) -> int:
 
 def cmd_stats(args) -> int:
     vocab = Vocabulary()
-    source = FileSource(args.input, vocab, _load_stopwords(args), limit=args.limit)
+    source = _file_source(args, vocab)
     bbox = _parse_bbox(args.bbox) if args.bbox else None
     grid = Grid(bbox, 0) if bbox else None
 

@@ -45,6 +45,9 @@ class BoundingBox:
     max_lat: float
 
     def __post_init__(self):
+        edges = (self.min_lon, self.min_lat, self.max_lon, self.max_lat)
+        if not all(map(math.isfinite, edges)):
+            raise ValueError(f"bounding box edges must be finite, got {self}")
         if not (self.min_lon < self.max_lon and self.min_lat < self.max_lat):
             raise ValueError(f"degenerate bounding box {self}")
 
@@ -113,8 +116,8 @@ def choose_height(bbox: BoundingBox, target_cell_meters: float) -> int:
     Extents use an equirectangular approximation at the box's centre
     latitude. The result is clamped to [0, MAX_HEIGHT].
     """
-    if target_cell_meters <= 0:
-        raise ValueError("target cell size must be positive")
+    if not target_cell_meters > 0:  # NaN too
+        raise ValueError(f"target cell size must be positive, got {target_cell_meters}")
     lat_c = math.radians((bbox.min_lat + bbox.max_lat) / 2.0)
     width_m = (bbox.max_lon - bbox.min_lon) * math.cos(lat_c) * METERS_PER_DEGREE
     height_m = (bbox.max_lat - bbox.min_lat) * METERS_PER_DEGREE
@@ -122,7 +125,8 @@ def choose_height(bbox: BoundingBox, target_cell_meters: float) -> int:
     if ratio <= 1.0:
         return 0
     # The 1e-9 slack keeps exact powers of two from rounding up on float noise.
-    return min(MAX_HEIGHT, max(0, math.ceil(math.log2(ratio) - 1e-9)))
+    # Clamped before ``ceil``, which a ratio past float range would overflow.
+    return math.ceil(min(math.log2(ratio), MAX_HEIGHT) - 1e-9)
 
 
 def gid_str(gid: Gid) -> str:

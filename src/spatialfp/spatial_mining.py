@@ -2,15 +2,15 @@
 
 As in the paper's SFP-growth, the SFP-tree is built once, and each
 frequent (word, cell) gets exactly its non-spatial conditional base,
-with no record rescans; only the miner inside a base is a weighted
-vertical (Eclat) search, in ``fptree``. Ranks are visited in reverse
-global order, each once for all levels. A rank's run of the tree's
-(word, cell) header, in leaf order, makes the word's one vertical base;
-quad-tree cells nest, so any cell is one leaf-code range of both. Every
-pattern is one int row (see ``row_layout``), appended at the cell where
-it reached the threshold, with its exact per-cell support, to the list
-of its (level, cell, size); ``canonical`` sorts each list, plain ints,
-into a block of the ``Patterns`` result.
+with no record rescans; only the miner inside a base is a vertical
+(Eclat) search, one bit per record, in ``fptree``. Ranks are visited in
+reverse global order, each once for all levels. A rank's run of the
+tree's (word, cell) header, in leaf order, makes the word's one vertical
+base; quad-tree cells nest, so any cell is one leaf-code range of both.
+Every pattern is one int row (see ``row_layout``), appended at the cell
+where it reached the threshold, with its exact per-cell support, to the
+list of its (level, cell, size); ``canonical`` sorts each list, plain
+ints, into a block of the ``Patterns`` result.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
     ranks. Also the number of (word, leaf cell) header entries.
 
     Visits each rank once: its header run, in leaf order, is one
-    contiguous range per cell at any level, which gives the cell's total
-    through a prefix sum and its bit range in the word's one vertical
+    contiguous range per cell at any level, whose prefix sums give the
+    cell's total and its records, a bit range of the word's one vertical
     base. Cells are searched from the root down. A rank is the largest
     of its patterns, as its base holds the ranks above its nodes, so its
     own slot is the least significant and growth adds slots above it.
@@ -131,7 +131,7 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
                 lists = out.setdefault((level, code), [[]])
                 lists[0].append(r << cbits | total)
                 if base:
-                    cond = cell_base(base, lo, hi, sigma)
+                    cond = cell_base(base, acc[lo], acc[hi], sigma)
                     if cond:
                         grown = fp_growth(cond, sigma, r << cbits, cbits + width, width)
                         for k, rows in enumerate(grown, 1):

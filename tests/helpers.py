@@ -13,7 +13,7 @@ from typing import Sequence
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
 from spatialfp.errors import InvalidLevel, PointOutOfBounds, SpatialFpError
 from spatialfp.formats import MalformedRecord
-from spatialfp.fptree import VerticalBase, fp_growth
+from spatialfp.fptree import fp_growth
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode, gid_str
 from spatialfp.spatial_mining import (CellRows, Patterns, SpatialPattern, canonical, mine_tree,
                                       row_layout)
@@ -575,7 +575,7 @@ def build_fp_tree(transactions, minsup: int) -> Base:
     return path_base(ordered_paths(transactions, minsup), minsup)
 
 
-def growth_pairs(base: VerticalBase, minsup: int) -> list[tuple[tuple[int, ...], int]]:
+def growth_pairs(base: list[tuple[int, int, int]], minsup: int) -> list[tuple[tuple[int, ...], int]]:
     """``fptree.fp_growth`` on an empty suffix, its rows unpacked into
     (items, support) pairs, items ascending, by size. Items below 2**16
     and supports below 2**48 fit."""

@@ -206,16 +206,20 @@ def test_c4_scaling_trends(capsys):
     what = "scan and build scale linearly, growth superlinear sub-quadratic"
     started = time.perf_counter()
     with announce_failure(capsys, "C4", what):
-        scan_ms, build_ms, growth_ms = {}, {}, {}
-        for n in SCALE_SIZES:
-            records = _scale_records(n)
-            # Min of three: the scan is short enough that one slow run
-            # (fresh memory, a busy neighbour) moves a ratio of two.
-            reports = [engine.mine(records, SCALE_SIGMA, SCALE_GRID)[1]
-                       for _ in range(3)]
-            scan_ms[n] = min(r.first_scan_ms for r in reports)
-            build_ms[n] = min(r.tree_build_ms for r in reports)
-            growth_ms[n] = min(r.growth_ms for r in reports)
+        # All sizes are timed round by round, in alternating order, and
+        # each phase keeps its min over four rounds: a shared machine's
+        # speed drifts between rounds (one 100k scan read 210 ms in one
+        # round and 410 ms in the next), so two runs of a ratio taken far
+        # apart measure the drift, and one slow run of a short phase (fresh
+        # memory, a busy neighbour) moves a ratio of two.
+        records = {n: _scale_records(n) for n in SCALE_SIZES}
+        reports = {n: [] for n in SCALE_SIZES}
+        for i in range(4):
+            for n in sorted(SCALE_SIZES, reverse=i % 2 == 1):
+                reports[n].append(engine.mine(records[n], SCALE_SIGMA, SCALE_GRID)[1])
+        scan_ms = {n: min(r.first_scan_ms for r in rs) for n, rs in reports.items()}
+        build_ms = {n: min(r.tree_build_ms for r in rs) for n, rs in reports.items()}
+        growth_ms = {n: min(r.growth_ms for r in rs) for n, rs in reports.items()}
 
         scan_ratio = scan_ms[200_000] / scan_ms[100_000]
         build_ratio = build_ms[200_000] / build_ms[100_000]

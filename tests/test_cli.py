@@ -372,11 +372,29 @@ def test_huge_numbers_count_as_malformed_lines(tmp_path):
       "--height", "1", "--sigma", "two"), 2, "--sigma"),
     (("mine", "--input", "x", "--output", "y", "--bbox", "0,0,4,4",
       "--height", "1", "--sigma", "2,2,2"), 2, "per-level"),
+    # Each case below used to end in a traceback, or to mine nothing (or
+    # everything into one cell) and exit 0.
+    (("mine", "--input", "x", "--output", "y", "--bbox", "0,0,4,4",
+      "--cell-meters", "0", "--sigma", "2"), 2, "--cell-meters"),
+    (("mine", "--input", "x", "--output", "y", "--bbox", "0,0,4,4",
+      "--cell-meters", "-5", "--sigma", "2"), 2, "--cell-meters"),
+    (("mine", "--input", "x", "--output", "y", "--bbox", "0,0,4,4",
+      "--cell-meters", "nan", "--sigma", "2"), 2, "--cell-meters"),
+    (("mine", "--input", "x", "--output", "y", "--bbox", "-inf,0,4,4",
+      "--height", "2", "--sigma", "2"), 2, "finite"),
+    (("mine", "--input", "x", "--output", "y", "--bbox", "0,0,inf,4",
+      "--cell-meters", "100", "--sigma", "2"), 2, "finite"),
+    (("mine", "--input", "x", "--output", "y", "--bbox", "0,0,4,4",
+      "--height", "1", "--sigma", "2", "--limit", "-1"), 2, "--limit"),
+    (("check", "--input", "x", "--bbox", "0,0,4,4", "--height", "1",
+      "--sigma", "2", "--limit", "-1"), 2, "--limit"),
+    (("stats", "--input", "x", "--limit", "-1"), 2, "--limit"),
 ])
 def test_flag_validation_exits_2(args, code, needle):
     proc = run_cli(*args)
     assert proc.returncode == code
     assert needle in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_mine_rejects_the_removed_fast_backend(ref_corpus, tmp_path):

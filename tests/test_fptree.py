@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -53,12 +54,11 @@ def test_conditional_tree_prunes_below_minsup():
     prefixes = [(path[:path.index(PIZZA)], weight)
                 for path, weight in base.items() if PIZZA in path]
     # pizza's prefix paths are [expensive, italian] and [expensive,
-    # restaurant], each weight 1; only expensive reaches 2. Each pair
+    # restaurant], each weight 1; only expensive reaches 2. Each record
     # keeps its own bit, so expensive's tidset covers both.
     assert sorted(prefixes) == [((EXPENSIVE, ITALIAN), 1), ((EXPENSIVE, RESTAURANT), 1)]
     cond = tree_from_weighted_paths(prefixes, 2)
-    assert list(cond) == [(EXPENSIVE, 0b11, 2)]
-    assert cond.planes == [(0, 0b11)]
+    assert cond == [(EXPENSIVE, 0b11, 2)]
     assert growth_pairs(cond, 2) == [((EXPENSIVE,), 2)]
     assert path_base(prefixes, 2) == {(EXPENSIVE,): 2}
 
@@ -66,10 +66,10 @@ def test_conditional_tree_prunes_below_minsup():
 def test_shared_prefixes_collapse():
     pairs = [((0, 1), 1), ((0, 2), 1), ((0, 1), 2)]
     base = tree_from_weighted_paths(pairs, 1)
-    # Bit i is pair i: the path (0, 1) holds bits 0 and 2 (weights 1 and
-    # 2), the path (0, 2) bit 1; supports are those of the merged paths.
-    assert list(base) == [(2, 0b010, 1), (1, 0b101, 3), (0, 0b111, 4)]
-    assert base.planes == [(0, 0b011), (1, 0b100)]
+    # One bit per record, pair by pair: the path (0, 1) holds bit 0 and
+    # bits 2 and 3 (weights 1 and 2), the path (0, 2) bit 1; supports are
+    # those of the merged paths.
+    assert base == [(2, 0b0010, 1), (1, 0b1101, 3), (0, 0b1111, 4)]
     assert as_supports(growth_pairs(base, 1)) == {
         frozenset({0}): 4, frozenset({1}): 3, frozenset({2}): 1,
         frozenset({0, 1}): 3, frozenset({0, 2}): 1}
@@ -117,12 +117,14 @@ def test_growth_supports_are_antimonotone(txs):
 
 
 # Weighted paths in one item order: single items among them, weights from
-# 1 (one bit plane) to 2**20 (up to 21 planes).
+# 1 to 2**12, so a pair's bits can run over many bytes. Each record costs
+# one step of the bit loop, so heavier weights only slow the tests; one
+# pair of 100,000 records is pinned below.
 weighted_paths = st.lists(
     st.tuples(st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=5)
               .map(lambda items: tuple(sorted(items))),
               st.one_of(st.just(1), st.integers(min_value=1, max_value=4),
-                        st.integers(min_value=1, max_value=2 ** 20))),
+                        st.integers(min_value=1, max_value=2 ** 12))),
     min_size=1, max_size=14)
 
 
@@ -148,6 +150,19 @@ def test_vertical_growth_on_a_base_of_many_paths():
     assert mine(paths, 400) == path_growth(path_base(paths, 400), 400)
 
 
+def test_one_pair_of_many_records():
+    # One pair stands for 100,000 records, between two light ones: its
+    # bits are one run, and a cell cut through it keeps part of the run.
+    paths = [((0, 2), 3), ((0, 1, 2), 100_000), ((1, 2), 5)]
+    base = tree_from_weighted_paths(paths, 4)
+    assert [(item, tids.bit_count(), support) for item, tids, support in base] == [
+        (2, 100_008, 100_008), (1, 100_005, 100_005), (0, 100_003, 100_003)]
+    assert mine(paths, 4) == path_growth(path_base(paths, 4), 4)
+    cell = cell_base(base, 2, 100_006, 4)
+    assert as_supports(growth_pairs(cell, 4)) == path_growth(
+        path_base([((0, 2), 1), ((0, 1, 2), 100_000), ((1, 2), 3)], 4), 4)
+
+
 @given(weighted_paths, st.data())
 @settings(max_examples=150, deadline=None)
 def test_cell_slices_match_the_path_reference(pairs, data):
@@ -156,13 +171,16 @@ def test_cell_slices_match_the_path_reference(pairs, data):
     pairs = data.draw(st.permutations(pairs))
     lo = data.draw(st.integers(min_value=0, max_value=len(pairs)))
     hi = data.draw(st.integers(min_value=lo, max_value=len(pairs)))
+    # A cell is a run of pairs, and its bits are their records: the
+    # prefix sums of the weights give its bit range.
+    at = [0, *accumulate(weight for _, weight in pairs)]
     totals: dict[int, int] = {}
     for path, weight in pairs[lo:hi]:
         for item in path:
             totals[item] = totals.get(item, 0) + weight
     minsup = data.draw(st.integers(min_value=1, max_value=max(totals.values(), default=0) + 1))
     floor = data.draw(st.integers(min_value=1, max_value=minsup))
-    cell = cell_base(tree_from_weighted_paths(pairs, floor), lo, hi, minsup)
+    cell = cell_base(tree_from_weighted_paths(pairs, floor), at[lo], at[hi], minsup)
     assert [item for item, _, _ in cell] == sorted((item for item, _, _ in cell), reverse=True)
     assert as_supports(growth_pairs(cell, minsup)) == path_growth(path_base(pairs[lo:hi], minsup),
                                                                minsup)

@@ -34,6 +34,17 @@ def test_bounding_box_rejects_degenerate():
         BoundingBox(0.0, 5.0, 4.0, 4.0)
 
 
+@pytest.mark.parametrize("edges", [
+    (-math.inf, 0.0, 4.0, 4.0),
+    (0.0, 0.0, math.inf, 4.0),
+    (0.0, -math.inf, 4.0, math.inf),
+    (0.0, math.nan, 4.0, 4.0),
+])
+def test_bounding_box_rejects_non_finite_edges(edges):
+    with pytest.raises(ValueError, match="finite"):
+        BoundingBox(*edges)
+
+
 def test_grid_height_range():
     Grid(BOX, 0)
     Grid(BOX, MAX_HEIGHT)
@@ -116,8 +127,15 @@ def test_choose_height_examples(target, height):
 
 
 def test_choose_height_rejects_nonpositive_target():
-    with pytest.raises(ValueError):
-        choose_height(BOX, 0.0)
+    for target in (0.0, -5.0, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            choose_height(BOX, target)
+
+
+def test_choose_height_clamps_a_ratio_past_float_range():
+    # 4 degrees over 1e-320 m overflows to an infinite ratio.
+    assert choose_height(BOX, 1e-320) == MAX_HEIGHT
+    assert choose_height(BOX, math.inf) == 0
 
 
 @given(st.floats(min_value=1.0, max_value=1e6))
