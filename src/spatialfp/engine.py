@@ -62,6 +62,7 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     sigmas = expand_sigmas(sigma, grid.height)
     report = MineReport(backend=resolve_backend(backend))
     stats = ScanStats()
+    import numpy  # noqa: F401  (the header and the bases use it; imported before any timer)
 
     t0 = time.perf_counter()
     words, cols = scan_counts(source, min(sigmas), grid, stats)

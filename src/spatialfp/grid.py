@@ -75,7 +75,7 @@ def _spread_bits(v: int) -> int:
     return v
 
 
-# _spread_bits of every 8-bit value, for grids of height 8 or less.
+# _spread_bits of every 8-bit value, for grids of height 16 or less.
 _SPREAD = [_spread_bits(v) for v in range(256)]
 
 
@@ -107,6 +107,9 @@ def encode(p: GeoPoint, grid: Grid) -> Gid:
     iy = min(int((lat - box.min_lat) / (box.max_lat - box.min_lat) * n), n - 1)
     if height <= 8:
         return Gid(height, _SPREAD[ix] | _SPREAD[iy] << 1)
+    if height <= 16:
+        return Gid(height, (_SPREAD[ix & 255] | _SPREAD[ix >> 8] << 16)
+                   | (_SPREAD[iy & 255] | _SPREAD[iy >> 8] << 16) << 1)
     return Gid(height, _spread_bits(ix) | _spread_bits(iy) << 1)
 
 

@@ -3,24 +3,27 @@
 As in the paper's SFP-growth, the SFP-tree is built once, and each
 frequent (word, cell) gets exactly its non-spatial conditional base,
 with no record rescans; only the miner inside a base is a vertical
-(Eclat) search, one bit per record, in ``fptree``. Ranks are visited in
-reverse global order, each once for all levels. A rank's run of the
+(Eclat) search, one bit per record, in ``fptree``. A rank's run of the
 tree's (word, cell) header, in leaf order, makes the word's one vertical
 base; quad-tree cells nest, so any cell is one leaf-code range of both.
-Every pattern is one int row (see ``row_layout``), appended at the cell
-where it reached the threshold, with its exact per-cell support, to the
-list of its (level, cell, size); ``canonical`` sorts each list, plain
-ints, into a block of the ``Patterns`` result.
+Three steps are numpy array operations, each done once for all ranks:
+``frequent_cells`` lists every frequent (rank, cell) by one split of all
+runs per level, and ``conditional_bases`` sets every base's bits from
+one walk of the header entries' ancestors per run of ranks. Python keeps
+only the per-cell slice of a base and the growth inside it. Every
+pattern is one int row (see ``row_layout``), appended at the cell where
+it reached the threshold, with its exact per-cell support, to the list
+of its (level, cell, size); ``canonical`` sorts each list, plain ints,
+into a block of the ``Patterns`` result.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .fptree import cell_base, fp_growth, tree_from_weighted_paths
+from .fptree import Base, cell_base, fp_growth, tree_from_weighted_paths
 from .grid import Gid
 from .spatial_tree import SpatialTree, WordTable
 
@@ -63,16 +66,9 @@ def row_layout(words: WordTable) -> tuple[int, int]:
     return width, cbits
 
 
-def _prefix_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
-    """The ranks above ``node``, root end first."""
-    rank_of, parent_of = tree.rank_of, tree.parent_of
-    path: list[int] = []
-    up = parent_of[node]
-    while up:
-        path.append(rank_of[up])
-        up = parent_of[up]
-    path.reverse()
-    return tuple(path)
+# About this many (record, item) pairs are expanded at once when bases are built:
+# smaller chunks keep the temporaries small at no cost in time.
+CHUNK_PAIRS = 1 << 14
 
 
 def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
@@ -81,73 +77,192 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
     list ``k`` of cell ``(level, code)`` holds the rows of ``k + 1``
     ranks. Also the number of (word, leaf cell) header entries.
 
-    Visits each rank once: its header run, in leaf order, is one
-    contiguous range per cell at any level, whose prefix sums give the
-    cell's total and its records, a bit range of the word's one vertical
-    base. Cells are searched from the root down. A rank is the largest
-    of its patterns, as its base holds the ranks above its nodes, so its
-    own slot is the least significant and growth adds slots above it.
+    Each frequent (rank, cell) from ``frequent_cells`` emits its row and
+    grows its slice of the rank's base from ``conditional_bases``. A
+    rank is the largest of its patterns, as its base holds the ranks
+    above its nodes, so its own slot is the least significant and growth
+    adds slots above it.
+    """
+    cells, header_entries = frequent_cells(tree, sigmas)
+    width, cbits = row_layout(tree.words)
+    out: CellRows = {}
+    bases = conditional_bases(tree, min(sigmas))
+    past = (len(tree.words), None)  # after every rank
+    r_base, base = next(bases, past)
+    for r, level, code, lo, hi in cells:
+        while r_base < r:
+            r_base, base = next(bases, past)
+        lists = out.setdefault((level, code), [[]])
+        lists[0].append(r << cbits | hi - lo)
+        if r_base == r and base:
+            sigma = sigmas[level]
+            cond = cell_base(base, lo, hi, sigma)
+            if cond:
+                grown = fp_growth(cond, sigma, r << cbits, cbits + width, width)
+                for k, rows in enumerate(grown, 1):
+                    if k < len(lists):
+                        lists[k] += rows
+                    else:
+                        lists.append(rows)
+    for _ in bases:  # every base is built, a word with no frequent cell too
+        pass
+    return out, header_entries
+
+
+def frequent_cells(tree: SpatialTree, sigmas: Sequence[int],
+                   ) -> tuple[Iterable[tuple[int, int, int, int, int]], int]:
+    """Every (rank, cell) whose count reaches its level's sigma, as
+    ``(rank, level, code, lo, hi)`` in ascending rank, where ``[lo, hi)``
+    are the cell's records as bits of the rank's base; and the number of
+    (word, leaf cell) header entries.
+
+    A rank's header run, in leaf order, is one contiguous range per cell
+    at any level, so one split of all runs per level finds every cell.
     """
     height = tree.height
     if len(sigmas) != height + 1:
         raise ValueError(f"need {height + 1} per-level sigmas, got {len(sigmas)}")
     if not tree.finalized:
         raise RuntimeError("the tree is read only after finalize()")
-    start, parent_of = tree.head_start, tree.parent_of
-    width, cbits = row_layout(tree.words)
-    floor = min(sigmas)
-    # A cell's total bounds its children's, so below the smallest sigma
-    # of the levels under it no cell inside it is frequent.
-    reach = [min(sigmas[level + 1:]) for level in range(height)]
-    out: CellRows = {}
-    header_entries = 0
-    for r in range(len(tree.words) - 1, -1, -1):
-        run = slice(start[r], start[r + 1])
-        leaves, nodes, counts = tree.head_leaf[run], tree.head_node[run], tree.head_count[run]
-        if not leaves:
-            continue
-        # An array: the running sums as int objects would stay spread over
-        # the allocator's arenas among the patterns kept, raising the peak.
-        acc = array("q", [0])
-        acc.extend(accumulate(counts))
-        header_entries += len(set(leaves))
-        # The rank's one root child, if any, is its largest node: its empty
-        # prefix adds nothing to a conditional base.
-        top = max(nodes)
-        deep = acc[-1]
-        if parent_of[top] == 0:
-            deep -= sum([c for node, c in zip(nodes, counts) if node == top])
-        base = None
-        if deep >= floor:  # else no item of the word reaches any sigma
-            paths = {node: _prefix_path(tree, node) for node in set(nodes)}
-            base = tree_from_weighted_paths([(paths[node], count) for node, count
-                                             in zip(nodes, counts)], floor)
-        cells = [(0, 0, 0, len(leaves))]  # (level, code, lo, hi) still to visit
-        while cells:
-            level, code, lo, hi = cells.pop()
-            total = acc[hi] - acc[lo]
-            sigma = sigmas[level]
-            if total >= sigma:
-                lists = out.setdefault((level, code), [[]])
-                lists[0].append(r << cbits | total)
-                if base:
-                    cond = cell_base(base, acc[lo], acc[hi], sigma)
-                    if cond:
-                        grown = fp_growth(cond, sigma, r << cbits, cbits + width, width)
-                        for k, rows in enumerate(grown, 1):
-                            if k < len(lists):
-                                lists[k] += rows
-                            else:
-                                lists.append(rows)
-            if level < height and total >= reach[level]:
-                bound, shift = reach[level], 2 * (height - level - 1)
-                while lo < hi:  # each child holding an entry
-                    child = leaves[lo] >> shift
-                    cut = bisect_left(leaves, (child + 1) << shift, lo, hi)
-                    if acc[cut] - acc[lo] >= bound:
-                        cells.append((level + 1, child, lo, cut))
-                    lo = cut
-    return out, header_entries
+    if not tree.head_leaf:
+        return [], 0
+    import numpy as np
+
+    start = np.frombuffer(tree.head_start, np.int64)
+    leaf = np.frombuffer(tree.head_leaf, np.int64)
+    n = len(leaf)
+    acc = np.concatenate(([0], np.cumsum(tree.head_count)))  # records before each entry
+    # A run of entries starts where the rank or the cell changes; cells
+    # nest, so each level keeps the cuts of the one above it.
+    cut = np.zeros(n, bool)
+    cut[start[start < n]] = True
+    found = []
+    for level in range(height + 1):
+        shift = 2 * (height - level)
+        code = leaf >> shift if shift else leaf
+        cut[1:] |= code[1:] != code[:-1]
+        lo = np.flatnonzero(cut)
+        total = acc[lo]  # turned into each run's records in place
+        total[:-1] = total[1:] - total[:-1]
+        total[-1] = acc[n] - total[-1]
+        keep = total >= sigmas[level]
+        found.append((np.full(keep.sum(), level, np.int32), code[lo[keep]], lo[keep], total[keep]))
+    header_entries = len(keep)
+    level, code, lo, total = (np.concatenate(column) for column in zip(*found))
+    rank = np.searchsorted(start, lo, side="right") - 1
+    order = np.argsort(rank)
+    rank, level, code, lo, total = rank[order], level[order], code[order], lo[order], total[order]
+    lo = acc[lo] - acc[start[rank]]  # bits count from the rank's first record
+    return zip(rank.tolist(), level.tolist(), code.tolist(), lo.tolist(),
+               (lo + total).tolist()), header_entries
+
+
+def conditional_bases(tree: SpatialTree, floor: int) -> Iterator[tuple[int, Base]]:
+    """``(rank, base)`` in ascending rank, for every rank whose records
+    below its root child reach ``floor``: the base holds each item, a
+    rank above the word's nodes, with its records' bits, and drops the
+    items whose support misses ``floor``. The bits of a run of ranks are
+    set at once, from one expansion of their entries' ancestors, into one
+    packed buffer."""
+    if not tree.finalized:
+        raise RuntimeError("the tree is read only after finalize()")
+    import numpy as np
+
+    start = np.frombuffer(tree.head_start, np.int64)
+    node = np.frombuffer(tree.head_node, np.int64)
+    count = np.frombuffer(tree.head_count, np.int64)
+    parent = np.frombuffer(tree.parent_of, np.int64).astype(np.int32)
+    rank_of = np.frombuffer(tree.rank_of, np.int64).astype(np.int32)
+    # Each node's ancestors below the root, counted by walking all nodes
+    # up at once; a root child has none, so its records add no item.
+    above = np.zeros(len(parent), np.int32)
+    at = np.arange(1, len(parent), dtype=np.int32)
+    up = parent[at]
+    while len(at):
+        at, up = at[up != 0], up[up != 0]
+        above[at] += 1
+        up = parent[up]
+    pairs = count * above[node]  # (record, item) pairs of each entry
+    deep = np.where(pairs > 0, count, 0)
+    del above, at, up
+
+    def per_rank(x):
+        sums = np.zeros(len(x) + 1, np.int64)
+        np.cumsum(x, out=sums[1:])
+        return np.diff(sums[start])
+
+    build = np.flatnonzero(per_rank(deep) >= floor)
+    load = per_rank(pairs)[build].tolist()
+    del pairs, deep
+    # Made once the walk's arrays are freed, it can reuse their memory,
+    # which lowers the peak.
+    acc = np.concatenate(([0], np.cumsum(count)))
+    chunk, held = [], 0
+    for i, r in enumerate(build.tolist()):
+        chunk.append(r)
+        held += load[i]
+        if held >= CHUNK_PAIRS or i == len(load) - 1:
+            yield from _chunk_bases(np, chunk, start, node, count, parent, rank_of,
+                                    acc, floor)
+            chunk, held = [], 0
+
+
+def _chunk_bases(np, ranks, start, node, count, parent, rank_of, acc, floor):
+    """The bases of ``ranks``, ascending, as ``conditional_bases`` yields
+    them. ``parent`` and ``rank_of`` are int32."""
+    words = len(start) - 1
+    ranks = np.array(ranks)
+    first, stop = start[ranks], start[ranks + 1]
+    lens = stop - first
+    local = np.repeat(np.arange(len(ranks), dtype=np.int32), lens)  # chunk rank of each entry
+    entry = np.arange(len(local)) + np.repeat(first - (np.cumsum(lens) - lens), lens)
+    bit = acc[entry] - acc[first][local]  # each entry's first bit
+    size = (acc[stop] - acc[first] + 7) >> 3  # bytes per tidset of each rank
+    records = count[entry]
+    # Every (entry, ancestor) pair, all entries walked up one level at a time.
+    pe, items = [], []
+    at = np.arange(len(entry), dtype=np.int32)
+    up = parent[node[entry]]
+    while True:
+        at, up = at[up != 0], up[up != 0]
+        if not len(at):
+            break
+        pe.append(at)
+        items.append(rank_of[up])
+        up = parent[up]
+    pe, items = np.concatenate(pe), np.concatenate(items)
+    # Groups of one (rank, item), items descending within a rank: one
+    # sort of int64 keys that carry their pair's entry in the low bits.
+    ebits = len(bit).bit_length()
+    key = (local[pe].astype(np.int64) * words + (words - 1 - items)) << ebits | pe
+    key.sort()
+    pe = (key & (1 << ebits) - 1).astype(np.int32)
+    key >>= ebits
+    weight = records[pe]
+    new = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    totals = np.add.reduceat(weight, heads)
+    keep = totals >= floor
+    group = np.cumsum(new, dtype=np.int32) - 1
+    kept = keep[group]
+    slot = (np.cumsum(keep, dtype=np.int32) - 1)[group[kept]]  # each kept pair's group
+    pe, weight = pe[kept], weight[kept]
+    key, totals = key[heads[keep]], totals[keep]
+    owner = key // words
+    nbytes = size[owner]
+    at = np.cumsum(nbytes) - nbytes  # each kept group's first byte in ``buf``
+    buf = np.zeros(int(nbytes.sum()), np.uint8)
+    # One bit per record: a pair of ``weight`` records sets that many.
+    pos = np.repeat(bit[pe] - (np.cumsum(weight) - weight), weight)
+    pos += np.arange(len(pos))
+    byte = np.repeat(at[slot], weight) + (pos >> 3)
+    np.bitwise_or.at(buf, byte, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
+    rows = list(zip((words - 1 - key % words).tolist(), at.tolist(), totals.tolist()))
+    cuts = np.searchsorted(owner, np.arange(len(ranks) + 1)).tolist()
+    tids = memoryview(buf)
+    for i, (r, n) in enumerate(zip(ranks.tolist(), size.tolist())):
+        yield r, tree_from_weighted_paths(tids, n, rows[cuts[i]:cuts[i + 1]])
 
 
 class Patterns(Sequence[SpatialPattern]):

@@ -9,6 +9,8 @@ past their common prefix with the one before. The tree is flat arrays
 (node rank, node parent), with no object per node, plus the paper's
 (word, cell) header: per rank, one run of (leaf, node, count) entries
 in (leaf, node) order, so any cell at any level is one range of a run.
+``finalize`` builds the header with numpy: one sort of the logged
+(node, leaf) events and one entry per run of equal events.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import OrderViolation, PointOutOfBounds
@@ -58,11 +59,6 @@ class Columns:
         self.wids = array("I")
         self.leaves = array("q")
 
-    def append(self, wids: Iterable[int], leaf: int) -> None:
-        self.wids.extend(wids)
-        self.offsets.append(len(self.wids))
-        self.leaves.append(leaf)
-
 
 class SpatialTree:
     """The cell-annotated prefix tree as flat arrays.
@@ -95,32 +91,50 @@ class SpatialTree:
         self._path: list[int] = []  # its nodes, root excluded
 
     def finalize(self) -> None:
-        """Sort the event log once into the (word, cell) header."""
+        """Sort the event log once into the (word, cell) header: by
+        (rank, leaf, node), then one entry per run of equal events."""
         if self.finalized:
             return
-        # One int per event, ordered by rank, leaf, then node. Python ints,
-        # as the key overflows 64 bits on deep grids.
-        rank_of = self.rank_of
-        shift, width = 2 * self.height, len(rank_of).bit_length()
-        node_mask, leaf_mask = (1 << width) - 1, (1 << shift) - 1
-        events = [(rank_of[node] << shift | leaf) << width | node for node, leaf
-                  in zip(self._event_node, self._event_leaf)]
-        self._event_node = self._event_leaf = array("q")
-        events.sort()  # in place: sorted() would hold a second list
-        sizes = array("q", bytes(8 * (len(self.words) + 1)))
-        leaves, nodes, counts = self.head_leaf, self.head_node, self.head_count
-        last = -1
-        for event in events:
-            if event == last:
-                counts[-1] += 1
-                continue
-            last = event
-            node = event & node_mask
-            leaves.append(event >> width & leaf_mask)
-            nodes.append(node)
-            counts.append(1)
-            sizes[rank_of[node] + 1] += 1
-        self.head_start = array("q", accumulate(sizes))
+        import numpy as np
+
+        node = np.frombuffer(self._event_node, np.int64)
+        leaf = np.frombuffer(self._event_leaf, np.int64)
+        key = np.frombuffer(self.rank_of, np.int64)[node]  # each event's rank
+        events = len(key)
+        nbits, lbits = len(self.rank_of).bit_length(), 2 * self.height
+        if 2 * nbits + lbits < 64:  # (rank, leaf, node) fits one int64 key
+            key <<= lbits
+            key |= leaf
+            key <<= nbits
+            key |= node
+            del node, leaf
+            self._event_node = self._event_leaf = array("q")
+            key.sort()
+            first = np.ones(len(key), bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            first = np.flatnonzero(first)
+            key = key[first]
+            node, leaf, rank = (key & (1 << nbits) - 1, key >> nbits & (1 << lbits) - 1,
+                                key >> nbits + lbits)
+        else:
+            order = np.lexsort((node, leaf, key))
+            node, leaf, key = node[order], leaf[order], key[order]
+            del order
+            self._event_node = self._event_leaf = array("q")
+            first = np.ones(len(key), bool)
+            first[1:] = (node[1:] != node[:-1]) | (leaf[1:] != leaf[:-1])
+            first = np.flatnonzero(first)
+            node, leaf, rank = node[first], leaf[first], key[first]
+        start = np.searchsorted(rank, np.arange(len(self.words) + 1))
+        sizes = np.diff(first, append=events)
+        # Each column is freed before the next field grows, which can then
+        # reuse its memory.
+        columns = [(self.head_start, start), (self.head_count, sizes),
+                   (self.head_node, node), (self.head_leaf, leaf)]
+        del key, rank, first, start, sizes, node, leaf
+        while columns:
+            field, column = columns.pop()
+            field.frombytes(column.astype(np.int64, copy=False).view(np.uint8))
         self.finalized = True
 
     def nodes_of(self, wid: int) -> array:
@@ -143,6 +157,7 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     cols = Columns()
+    offsets, wids, leaves = cols.offsets, cols.wids, cols.leaves
     seen = skipped = 0
     for rec in records:
         seen += 1
@@ -151,8 +166,10 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
         except PointOutOfBounds:
             skipped += 1
             continue
-        cols.append(rec.words, leaf)
-    counts = Counter(cols.wids)
+        wids.extend(rec.words)
+        offsets.append(len(wids))
+        leaves.append(leaf)
+    counts = Counter(wids)
     if stats is not None:
         stats.records = seen
         stats.skipped = skipped
@@ -164,12 +181,16 @@ def sorted_records(cols: Columns, words: WordTable) -> list[tuple[tuple[int, ...
     """Pass two: each record's retained words as an ascending rank tuple,
     with its leaf, in ascending order of those tuples. Records left with
     no retained word are skipped."""
-    rank, wids = words.rank, cols.wids
+    wids = cols.wids
+    # A word id's rank, or -1 for a dropped word: one probe per word.
+    look = [-1] * (max(max(wids, default=-1), max(words.rank, default=-1)) + 1)
+    for w, r in words.rank.items():
+        look[w] = r
     keyed = []
     start = 0
     for end, leaf in zip(cols.offsets[1:], cols.leaves):
         # Tuples of ints drop out of the cyclic collector's bookkeeping.
-        ranks = tuple(sorted([rank[w] for w in wids[start:end] if w in rank]))
+        ranks = tuple(sorted([r for w in wids[start:end] if (r := look[w]) >= 0]))
         start = end
         if ranks:
             keyed.append((ranks, leaf))

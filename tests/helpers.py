@@ -7,7 +7,8 @@ import math
 import random
 import subprocess
 import sys
-from itertools import combinations
+from array import array
+from itertools import accumulate, chain, combinations, repeat, starmap
 from typing import Sequence
 
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
@@ -17,7 +18,7 @@ from spatialfp.fptree import fp_growth
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode, gid_str
 from spatialfp.spatial_mining import (CellRows, Patterns, SpatialPattern, canonical, mine_tree,
                                       row_layout)
-from spatialfp.spatial_tree import (ScanStats, SpatialTree, WordTable, insert_record,
+from spatialfp.spatial_tree import (Columns, ScanStats, SpatialTree, WordTable, insert_record,
                                    scan_counts, sorted_records)
 from spatialfp.text import GeoRecord, Vocabulary, tokenize
 
@@ -175,6 +176,42 @@ def build_tree(source, sigma: int, grid: Grid,
         insert_record(tree, ranks, leaf)
     tree.finalize()
     return tree
+
+
+def columns_of(records) -> Columns:
+    """In-box records as pass one's columns, from ``(wids, leaf)`` pairs."""
+    cols = Columns()
+    for wids, leaf in records:
+        cols.wids.extend(wids)
+        cols.offsets.append(len(cols.wids))
+        cols.leaves.append(leaf)
+    return cols
+
+
+def reference_header(tree: SpatialTree) -> tuple[array, array, array, array]:
+    """``head_start``, ``head_leaf``, ``head_node`` and ``head_count`` of
+    a tree not yet finalized, built from its event log as ``finalize``
+    built them before it sorted arrays: one Python int per event, sorted,
+    then one entry per run of equal ints."""
+    rank_of = tree.rank_of
+    shift, width = 2 * tree.height, len(rank_of).bit_length()
+    node_mask, leaf_mask = (1 << width) - 1, (1 << shift) - 1
+    events = sorted((rank_of[node] << shift | leaf) << width | node for node, leaf
+                    in zip(tree._event_node, tree._event_leaf))
+    sizes = array("q", bytes(8 * (len(tree.words) + 1)))
+    leaves, nodes, counts = array("q"), array("q"), array("q")
+    last = -1
+    for event in events:
+        if event == last:
+            counts[-1] += 1
+            continue
+        last = event
+        node = event & node_mask
+        leaves.append(event >> width & leaf_mask)
+        nodes.append(node)
+        counts.append(1)
+        sizes[rank_of[node] + 1] += 1
+    return array("q", accumulate(sizes)), leaves, nodes, counts
 
 
 # --- structural invariant checks --------------------------------------------
@@ -389,6 +426,31 @@ def path_base(paths: Sequence[tuple[tuple[int, ...], int]], minsup: int) -> Base
     return base
 
 
+def bit_base(paths: Sequence[tuple[tuple[int, ...], int]],
+             minsup: int) -> list[tuple[int, int, int]]:
+    """The vertical base of (path, weight) pairs in one order, as
+    ``fptree`` uses it: pair ``i`` as the ``weight`` bits after those of
+    the pairs before it, items whose summed weight misses ``minsup``
+    dropped, ``(item, tidset, support)`` in descending item order."""
+    totals: dict[int, int] = {}
+    for path, weight in paths:
+        if weight <= 0:
+            raise ValueError(f"path weight must be positive, got {weight}")
+        for item in path:
+            totals[item] = totals.get(item, 0) + weight
+    keep = {item for item, total in totals.items() if total >= minsup}
+    if not keep:
+        return []
+    size = (sum([weight for _, weight in paths]) + 7) >> 3
+    tids = {item: bytearray(size) for item in keep}
+    for b, path in enumerate(chain.from_iterable(starmap(repeat, paths))):  # once per record
+        for item in path:
+            if item in tids:
+                tids[item][b >> 3] |= 1 << (b & 7)
+    return [(item, int.from_bytes(tids[item], "little"), totals[item])
+            for item in sorted(keep, reverse=True)]
+
+
 def path_growth(base: Base, minsup: int) -> dict[frozenset[int], int]:
     """All itemsets with support >= minsup, mapped to their exact support."""
     if minsup < 1:
@@ -432,6 +494,70 @@ class UnknownEntry(SpatialFpError):
 def mine_patterns(tree: SpatialTree, sigmas) -> Patterns:
     """``mine_tree`` plus the canonical sort, as ``engine.mine`` does it."""
     return canonical(mine_tree(tree, sigmas)[0], tree.words)
+
+
+def prefix_path(tree: SpatialTree, node: int) -> tuple[int, ...]:
+    """The ranks above ``node``, root end first."""
+    path: list[int] = []
+    up = tree.parent_of[node]
+    while up:
+        path.append(tree.rank_of[up])
+        up = tree.parent_of[up]
+    return tuple(reversed(path))
+
+
+def rank_paths(tree: SpatialTree, r: int) -> list[tuple[tuple[int, ...], int]]:
+    """Rank ``r``'s header entries as (prefix path, count) pairs, in
+    header order: one bit per record of its base, in this order."""
+    run = slice(tree.head_start[r], tree.head_start[r + 1])
+    return [(prefix_path(tree, node), count)
+            for node, count in zip(tree.head_node[run], tree.head_count[run])]
+
+
+def reference_bases(tree: SpatialTree, floor: int) -> list[tuple[int, list]]:
+    """``(rank, base)`` for every rank, ascending, whose records with a
+    non-empty prefix path reach ``floor``, each base ``bit_base`` of the
+    rank's prefix paths."""
+    out = []
+    for r in range(len(tree.words)):
+        paths = rank_paths(tree, r)
+        if sum(count for path, count in paths if path) >= floor:
+            out.append((r, bit_base(paths, floor)))
+    return out
+
+
+def reference_cells(tree: SpatialTree, sigmas) -> tuple[list[tuple[int, int, int, int, int]], int]:
+    """``frequent_cells``'s ``(rank, level, code, lo, hi)`` as the
+    root-down search found them, rank by rank in reverse order, a child
+    cell visited only while its parent's total reaches the smallest sigma
+    below it; and the number of (word, leaf) header entries."""
+    height, start = tree.height, tree.head_start
+    reach = [min(sigmas[level + 1:]) for level in range(height)]
+    found, header_entries = [], 0
+    for r in range(len(tree.words) - 1, -1, -1):
+        run = slice(start[r], start[r + 1])
+        leaves = tree.head_leaf[run]
+        if not leaves:
+            continue
+        acc = [0, *accumulate(tree.head_count[run])]
+        header_entries += len(set(leaves))
+        cells = [(0, 0, 0, len(leaves))]
+        while cells:
+            level, code, lo, hi = cells.pop()
+            total = acc[hi] - acc[lo]
+            if total >= sigmas[level]:
+                found.append((r, level, code, acc[lo], acc[hi]))
+            if level < height and total >= reach[level]:
+                shift = 2 * (height - level - 1)
+                while lo < hi:
+                    child = leaves[lo] >> shift
+                    cut = lo
+                    while cut < hi and leaves[cut] >> shift == child:
+                        cut += 1
+                    if acc[cut] - acc[lo] >= reach[level]:
+                        cells.append((level + 1, child, lo, cut))
+                    lo = cut
+    return found, header_entries
 
 
 def canonical_patterns(raw, words: WordTable) -> list[SpatialPattern]:
@@ -631,6 +757,59 @@ def reference_parse_record_line(line: str, seq: int, vocab: Vocabulary,
 
     wordset = frozenset(vocab.intern(w) for w in sorted({t for t in tokens if t not in stopwords}))
     return GeoRecord(oid, wordset, GeoPoint(float(lon), float(lat)))
+
+
+# --- edge inputs, mined in a 0,0,4,4 box ----------------------------------
+#
+# name -> (records as (words, (lon, lat)), height, sigma, output rows,
+# summary counts). Each leaves some array of the miner empty.
+
+_NEAR, _EAST, _NORTH, _FAR = (1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (9.0, 9.0)
+_EMPTY_SUMMARY = {"records read": 0, "skipped out-of-box": 0, "records mined": 0,
+                  "distinct words": 0, "retained words": 0, "word-cell entries": 0,
+                  "patterns total": 0}
+EDGE_CASES = {
+    "empty_file": ([], 1, 2, [], _EMPTY_SUMMARY),
+    "all_out_of_box": ([(["a", "b"], _FAR)] * 3, 1, 2, [],
+                       {**_EMPTY_SUMMARY, "records read": 3, "skipped out-of-box": 3}),
+    "no_word_retained": (
+        [(["a", "b"], _NEAR), (["c"], _EAST), (["a"], (3.0, 3.0))], 1, 3, [],
+        {**_EMPTY_SUMMARY, "records read": 3, "records mined": 3, "distinct words": 3}),
+    # Every node is a root child: no word has a conditional base.
+    "one_word_records": (
+        [(["a"], _NEAR)] * 3 + [(["b"], _EAST)] * 2 + [(["b"], _NORTH)], 1, 2,
+        [{"words": ["a"], "gid": "00", "level": 1, "count": 3},
+         {"words": ["b"], "gid": "01", "level": 1, "count": 2},
+         {"words": ["a"], "gid": "", "level": 0, "count": 3},
+         {"words": ["b"], "gid": "", "level": 0, "count": 3}],
+        {"records read": 6, "skipped out-of-box": 0, "records mined": 6,
+         "distinct words": 2, "retained words": 2, "word-cell entries": 3,
+         "patterns total": 4}),
+    # b occurs twice, one short of sigma.
+    "word_just_under_floor": (
+        [(["a", "b"], _NEAR)] * 2 + [(["a"], _NEAR)], 1, 3,
+        [{"words": ["a"], "gid": "00", "level": 1, "count": 3},
+         {"words": ["a"], "gid": "", "level": 0, "count": 3}],
+        {"records read": 3, "skipped out-of-box": 0, "records mined": 3,
+         "distinct words": 2, "retained words": 1, "word-cell entries": 1,
+         "patterns total": 2}),
+    "height_0": (
+        [(["a", "b"], _NEAR)] * 2 + [(["a"], (3.0, 3.0)), (["b", "c"], _EAST)], 0, 2,
+        [{"words": ["a"], "gid": "", "level": 0, "count": 3},
+         {"words": ["b"], "gid": "", "level": 0, "count": 3},
+         {"words": ["a", "b"], "gid": "", "level": 0, "count": 2}],
+        {"records read": 4, "skipped out-of-box": 0, "records mined": 4,
+         "distinct words": 3, "retained words": 2, "word-cell entries": 2,
+         "patterns total": 3}),
+}
+EDGE_BOX = BoundingBox(0.0, 0.0, 4.0, 4.0)
+
+
+def write_edge_corpus(path, records) -> None:
+    """One JSON line per ``(words, (lon, lat))`` record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (words, (lon, lat)) in enumerate(records):
+            fh.write(json.dumps({"id": f"r{i}", "words": words, "lon": lon, "lat": lat}) + "\n")
 
 
 # --- command line helpers ----------------------------------------------------

@@ -5,7 +5,8 @@ from unittest.mock import Mock
 
 import pytest
 
-from helpers import read_patterns, run_cli, summary_fields, write_reference_corpus
+from helpers import (EDGE_CASES, read_patterns, run_cli, summary_fields, write_edge_corpus,
+                     write_reference_corpus)
 from spatialfp import cli, engine, formats
 from spatialfp.formats import FileSource
 from spatialfp.grid import METERS_PER_DEGREE, ROOT
@@ -59,6 +60,23 @@ def test_mine_golden_run(ref_corpus, tmp_path):
 
     vocab = Vocabulary.load(str(tmp_path / "dict.tsv"))
     assert [vocab.word(i) for i in range(3)] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_mine_edge_inputs(case, tmp_path):
+    records, height, sigma, rows, summary = EDGE_CASES[case]
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "patterns.jsonl"
+    write_edge_corpus(corpus, records)
+    proc = run_cli("mine", "--input", corpus, "--output", out,
+                   "--bbox", "0,0,4,4", "--height", height, "--sigma", sigma)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert read_patterns(str(out)) == rows
+    fields = summary_fields(proc.stdout)
+    assert {key: int(fields[key]) for key in summary} == summary
+    assert fields["malformed lines"] == "0"
+    levels = {level: int(fields[f"patterns level {level}"]) for level in range(height + 1)}
+    assert levels == {level: sum(row["level"] == level for row in rows)
+                      for level in range(height + 1)}
 
 
 def test_mine_reruns_are_byte_identical(ref_corpus, tmp_path):

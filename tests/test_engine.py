@@ -1,12 +1,13 @@
 import pytest
 
-from helpers import REF_GRID, REF_PATTERNS, fuzz_instance, reference_records
+from helpers import EDGE_BOX, EDGE_CASES, REF_GRID, REF_PATTERNS, fuzz_instance, reference_records
 from spatialfp import engine
 from spatialfp.datagen import GenConfig, generate
-from spatialfp.grid import BoundingBox, Grid
+from spatialfp.grid import BoundingBox, GeoPoint, Grid, gid_str
 from spatialfp.oracle import compare, reference_patterns
 from spatialfp.spatial_mining import patterns_to_dict
 from spatialfp.spatial_tree import WordTable
+from spatialfp.text import GeoRecord, Vocabulary
 
 
 def test_resolve_backend():
@@ -107,3 +108,20 @@ def test_source_is_read_once(backend):
     assert source.iterations == 1
     assert report.records == len(first)
     assert got == want
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_inputs_mine_cleanly(case):
+    raw, height, sigma, rows, summary = EDGE_CASES[case]
+    vocab = Vocabulary()
+    records = [GeoRecord(f"r{i}", frozenset(vocab.intern(w) for w in sorted(words)),
+                         GeoPoint(*point)) for i, (words, point) in enumerate(raw)]
+    patterns, report = engine.mine(records, sigma, Grid(EDGE_BOX, height))
+    got = [{"words": sorted(vocab.word(w) for w in p.words), "gid": gid_str(p.gid),
+            "level": p.gid.level, "count": p.count} for p in patterns]
+    assert got == rows
+    assert (report.records, report.skipped, report.mined, report.distinct_words,
+            report.retained_words, report.cell_entries, report.pattern_count) == tuple(
+        summary[key] for key in ("records read", "skipped out-of-box", "records mined",
+                                 "distinct words", "retained words", "word-cell entries",
+                                 "patterns total"))

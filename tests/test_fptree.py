@@ -13,6 +13,7 @@ from helpers import (
     PIZZA,
     RESTAURANT,
     as_supports,
+    bit_base,
     build_fp_tree,
     growth_pairs,
     ordered_paths,
@@ -25,7 +26,7 @@ from spatialfp.fptree import cell_base, tree_from_weighted_paths
 
 def mine(paths, minsup):
     """Both steps of the vertical miner, keyed by item set."""
-    found = growth_pairs(tree_from_weighted_paths(paths, minsup), minsup)
+    found = growth_pairs(bit_base(paths, minsup), minsup)
     supports = as_supports(found)
     assert len(supports) == len(found)  # every itemset emitted once
     return supports
@@ -57,7 +58,7 @@ def test_conditional_tree_prunes_below_minsup():
     # restaurant], each weight 1; only expensive reaches 2. Each record
     # keeps its own bit, so expensive's tidset covers both.
     assert sorted(prefixes) == [((EXPENSIVE, ITALIAN), 1), ((EXPENSIVE, RESTAURANT), 1)]
-    cond = tree_from_weighted_paths(prefixes, 2)
+    cond = bit_base(prefixes, 2)
     assert cond == [(EXPENSIVE, 0b11, 2)]
     assert growth_pairs(cond, 2) == [((EXPENSIVE,), 2)]
     assert path_base(prefixes, 2) == {(EXPENSIVE,): 2}
@@ -65,7 +66,7 @@ def test_conditional_tree_prunes_below_minsup():
 
 def test_shared_prefixes_collapse():
     pairs = [((0, 1), 1), ((0, 2), 1), ((0, 1), 2)]
-    base = tree_from_weighted_paths(pairs, 1)
+    base = bit_base(pairs, 1)
     # One bit per record, pair by pair: the path (0, 1) holds bit 0 and
     # bits 2 and 3 (weights 1 and 2), the path (0, 2) bit 1; supports are
     # those of the merged paths.
@@ -77,22 +78,31 @@ def test_shared_prefixes_collapse():
     assert path_growth(path_base(pairs, 1), 1) == as_supports(growth_pairs(base, 1))
 
 
+def test_packed_rows_become_a_base():
+    # Two tidsets of two bytes each, the second at byte 3 of the buffer;
+    # bytes run least significant first.
+    tids = memoryview(bytes([0b101, 0b1, 0xff, 0b10, 0b0]))
+    assert tree_from_weighted_paths(tids, 2, [(7, 0, 3), (2, 3, 1)]) == [
+        (7, 0b1_00000101, 3), (2, 0b10, 1)]
+    assert tree_from_weighted_paths(tids, 2, []) == []
+
+
 def test_weighted_paths_drop_everything_below_minsup():
-    base = tree_from_weighted_paths([((0,), 1)], 2)
+    base = bit_base([((0,), 1)], 2)
     assert not base
     assert growth_pairs(base, 2) == []
 
 
 def test_insert_path_rejects_nonpositive_count():
     with pytest.raises(ValueError):
-        tree_from_weighted_paths([((0,), 0)], 1)
+        bit_base([((0,), 0)], 1)
     with pytest.raises(ValueError):
-        tree_from_weighted_paths([((0,), 1), ((1,), -3)], 1)
+        bit_base([((0,), 1), ((1,), -3)], 1)
 
 
 def test_fp_growth_rejects_bad_minsup():
     with pytest.raises(ValueError):
-        growth_pairs(tree_from_weighted_paths([((0,), 1)], 1), 0)
+        growth_pairs(bit_base([((0,), 1)], 1), 0)
 
 
 transactions = st.lists(
@@ -145,7 +155,7 @@ def test_vertical_growth_on_a_base_of_many_paths():
     # About 3,000 distinct paths: each tidset spans many machine words.
     rnd = random.Random(5)
     paths = [(tuple(sorted(rnd.sample(range(24), 5))), rnd.randint(1, 9)) for _ in range(3000)]
-    base = tree_from_weighted_paths(paths, 400)
+    base = bit_base(paths, 400)
     assert max(tids.bit_length() for _, tids, _ in base) > 2000
     assert mine(paths, 400) == path_growth(path_base(paths, 400), 400)
 
@@ -154,7 +164,7 @@ def test_one_pair_of_many_records():
     # One pair stands for 100,000 records, between two light ones: its
     # bits are one run, and a cell cut through it keeps part of the run.
     paths = [((0, 2), 3), ((0, 1, 2), 100_000), ((1, 2), 5)]
-    base = tree_from_weighted_paths(paths, 4)
+    base = bit_base(paths, 4)
     assert [(item, tids.bit_count(), support) for item, tids, support in base] == [
         (2, 100_008, 100_008), (1, 100_005, 100_005), (0, 100_003, 100_003)]
     assert mine(paths, 4) == path_growth(path_base(paths, 4), 4)
@@ -180,7 +190,7 @@ def test_cell_slices_match_the_path_reference(pairs, data):
             totals[item] = totals.get(item, 0) + weight
     minsup = data.draw(st.integers(min_value=1, max_value=max(totals.values(), default=0) + 1))
     floor = data.draw(st.integers(min_value=1, max_value=minsup))
-    cell = cell_base(tree_from_weighted_paths(pairs, floor), at[lo], at[hi], minsup)
+    cell = cell_base(bit_base(pairs, floor), at[lo], at[hi], minsup)
     assert [item for item, _, _ in cell] == sorted((item for item, _, _ in cell), reverse=True)
     assert as_supports(growth_pairs(cell, minsup)) == path_growth(path_base(pairs[lo:hi], minsup),
                                                                minsup)

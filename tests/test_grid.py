@@ -206,7 +206,7 @@ def test_encode_bounds_roundtrip(p, height):
     lon0, lat0, lon1, lat1 = cell_bounds(gid, grid)
     assert lon0 <= p.lon <= lon1
     assert lat0 <= p.lat <= lat1
-    # Up to height 8 the code comes from a table, beyond it from _spread_bits.
+    # Up to height 16 the code comes from a table, beyond it from _spread_bits.
     n = 1 << height
     ix = min(int(p.lon / 4.0 * n), n - 1)
     iy = min(int(p.lat / 4.0 * n), n - 1)

@@ -22,7 +22,11 @@ from helpers import (
     level_table,
     mine_patterns,
     pack_rows,
+    path_base,
     path_growth,
+    rank_paths,
+    reference_bases,
+    reference_cells,
     reference_records,
     reverse_entries,
     unpack_rows,
@@ -34,7 +38,9 @@ from spatialfp.oracle import compare, reference_patterns
 from spatialfp.spatial_mining import (
     SpatialPattern,
     canonical,
+    conditional_bases,
     expand_sigmas,
+    frequent_cells,
     mine_tree,
     patterns_to_dict,
     row_layout,
@@ -126,13 +132,12 @@ def test_mine_tree_wants_per_level_sigmas(ref_tree):
 
 
 def test_slices_below_sigma_never_build_a_base(monkeypatch):
-    shortfalls = []
+    built = []
     build = spatial_mining.tree_from_weighted_paths
 
-    def spy(paths, minsup):
-        # Empty paths (a root child's records) carry no item.
-        shortfalls.append(minsup - sum(weight for path, weight in paths if path))
-        return build(paths, minsup)
+    def spy(tids, size, rows):
+        built.append(build(tids, size, rows))
+        return built[-1]
 
     monkeypatch.setattr(spatial_mining, "tree_from_weighted_paths", spy)
     # a and b occur three times each in one cell; b's one non-empty
@@ -143,11 +148,18 @@ def test_slices_below_sigma_never_build_a_base(monkeypatch):
     assert patterns_to_dict(mine_patterns(tree, [2, 2])) == {
         (frozenset({A}), 1, 0): 3, (frozenset({B}), 1, 0): 3,
         (frozenset({A}), 0, 0): 3, (frozenset({B}), 0, 0): 3}
-    assert shortfalls == []
+    assert built == []
+    calls = 0
     for seed in range(6):
         records, grid, sigma = fuzz_instance(seed)
-        mine_patterns(build_tree(records, sigma, grid), [sigma] * (grid.height + 1))
-    assert shortfalls and max(shortfalls) <= 0
+        tree = build_tree(records, sigma, grid)
+        built.clear()
+        mine_patterns(tree, [sigma] * (grid.height + 1))
+        # One base per rank whose records with a non-empty prefix path
+        # reach sigma, and none for any other rank.
+        assert built == [base for _, base in reference_bases(tree, sigma)]
+        calls += len(built)
+    assert calls
 
 
 def test_sort_patterns_restores_canonical_order(ref_tree):
@@ -325,3 +337,39 @@ def test_raising_sigma_only_removes_patterns():
     high = patterns_to_dict(mine_patterns(tree, [sigma * 2] * (grid.height + 1)))
     assert set(high) <= set(low)
     assert all(low[k] == v for k, v in high.items())
+
+
+@pytest.mark.parametrize("shape", sorted(SIGMA_SHAPES))
+@pytest.mark.parametrize("seed", [0, 3, 5, 11, 23, 42])
+def test_frequent_cells_match_the_root_down_search(seed, shape):
+    records, grid, sigma = fuzz_instance(seed)
+    tree = build_tree(records, sigma, grid)
+    sigmas = SIGMA_SHAPES[shape](grid.height, sigma)
+    cells, header_entries = frequent_cells(tree, sigmas)
+    cells = list(cells)
+    want, want_entries = reference_cells(tree, sigmas)
+    assert sorted(cells) == sorted(want) and len(cells) == len(want) > 0
+    assert [r for r, *_ in cells] == sorted(r for r, *_ in cells)
+    assert header_entries == want_entries == mine_tree(tree, sigmas)[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 16])
+@pytest.mark.parametrize("shape", sorted(SIGMA_SHAPES))
+@pytest.mark.parametrize("seed", [0, 3, 5, 23])
+def test_array_bases_match_the_path_reference(seed, shape, chunk, monkeypatch):
+    # Chunks of one rank, of a few ranks and of every rank at once.
+    monkeypatch.setattr(spatial_mining, "CHUNK_PAIRS", chunk)
+    records, grid, sigma = fuzz_instance(seed)
+    tree = build_tree(records, sigma, grid)
+    floor = min(SIGMA_SHAPES[shape](grid.height, sigma))
+    got = list(conditional_bases(tree, floor))
+    assert got == reference_bases(tree, floor) and got
+    for r, base in got:
+        # Each item's support is its summed weight in the merged paths.
+        supports: dict[int, int] = {}
+        for path, weight in path_base(rank_paths(tree, r), floor).items():
+            for item in path:
+                supports[item] = supports.get(item, 0) + weight
+        assert {item: support for item, _, support in base} == {
+            item: support for item, support in supports.items() if support >= floor}
+        assert all(tids.bit_count() == support for _, tids, support in base)

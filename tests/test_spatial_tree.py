@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     A,
@@ -15,12 +17,14 @@ from helpers import (
     check_mass_conservation,
     check_prefix_order,
     cell_conditional_tree,
+    columns_of,
     dump,
     fuzz_instance,
     mine_patterns,
     node_cells,
     node_path,
     record_cell_counts,
+    reference_header,
     reference_records,
     tree_cell_totals,
     tree_equal,
@@ -30,7 +34,6 @@ from spatialfp.grid import MAX_HEIGHT, BoundingBox, GeoPoint, Gid, Grid, encode
 from spatialfp.oracle import reference_patterns
 from spatialfp.spatial_mining import mine_tree, patterns_to_dict
 from spatialfp.spatial_tree import (
-    Columns,
     ScanStats,
     SpatialTree,
     WordTable,
@@ -88,11 +91,10 @@ def test_filter_sort():
     # Pass two drops unretained words, sorts each record's words by the
     # global order and the records by their tuples of word ranks.
     words = WordTable({10: 4, 11: 9, 12: 2})
-    cols = Columns()
-    cols.append([12, 99, 10, 11], 0b01)
-    cols.append([99], 0b10)  # nothing retained: skipped
-    cols.append([10], 0b11)
-    cols.append([11], 0b00)
+    cols = columns_of([([12, 99, 10, 11], 0b01),
+                       ([99], 0b10),  # nothing retained: skipped
+                       ([10], 0b11),
+                       ([11], 0b00)])
     # Ranks: 11 -> 0, 10 -> 1, 12 -> 2.
     assert list(sorted_records(cols, words)) == [
         ((0,), 0b00), ((0, 1, 2), 0b01), ((1,), 0b11)]
@@ -186,6 +188,28 @@ def test_unfinalized_tree_cannot_be_read_and_finalized_cannot_grow():
     tree.finalize()
     with pytest.raises(RuntimeError):
         insert_record(tree, (0, 1), 0)
+
+
+@given(st.sampled_from([0, 8, 9, 16, 17, MAX_HEIGHT]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_array_header_matches_the_reference_loop(height, data):
+    # Records as rank tuples in pass two's order: some repeat, some are
+    # left with no word, and leaves reach the grid's last cell.
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    words = WordTable({w: n - w for w in range(n)})
+    leaf = st.one_of(st.integers(min_value=0, max_value=4 ** height - 1),
+                     st.just(4 ** height - 1))
+    records = data.draw(st.lists(
+        st.tuples(st.frozensets(st.integers(min_value=0, max_value=n - 1), max_size=n)
+                  .map(lambda ranks: tuple(sorted(ranks))), leaf),
+        max_size=40))
+    records = sorted(records + records[:data.draw(st.integers(min_value=0, max_value=len(records)))])
+    tree = SpatialTree(words, height)
+    for ranks, cell in records:
+        insert_record(tree, ranks, cell)
+    want = reference_header(tree)
+    tree.finalize()
+    assert (tree.head_start, tree.head_leaf, tree.head_node, tree.head_count) == want
 
 
 def test_rebuild_is_deterministic():
