@@ -66,7 +66,7 @@ def row_layout(words: WordTable) -> tuple[int, int]:
     return width, cbits
 
 
-# About this many (record, item) pairs are expanded at once when bases are built:
+# About this many (entry, item) pairs are expanded at once when bases are built:
 # smaller chunks keep the temporaries small at no cost in time.
 CHUNK_PAIRS = 1 << 14
 
@@ -163,7 +163,9 @@ def conditional_bases(tree: SpatialTree, floor: int) -> Iterator[tuple[int, Base
     rank above the word's nodes, with its records' bits, and drops the
     items whose support misses ``floor``. The bits of a run of ranks are
     set at once, from one expansion of their entries' ancestors, into one
-    packed buffer."""
+    packed buffer. Each (entry, item) pair sets its entry's records as one
+    range of bits, so the temporaries grow with the pairs, never with the
+    bits, and a rank's pairs are never split between runs."""
     if not tree.finalized:
         raise RuntimeError("the tree is read only after finalize()")
     import numpy as np
@@ -182,7 +184,7 @@ def conditional_bases(tree: SpatialTree, floor: int) -> Iterator[tuple[int, Base
         at, up = at[up != 0], up[up != 0]
         above[at] += 1
         up = parent[up]
-    pairs = count * above[node]  # (record, item) pairs of each entry
+    pairs = above[node]  # (entry, item) pairs of each entry
     deep = np.where(pairs > 0, count, 0)
     del above, at, up
 
@@ -252,12 +254,24 @@ def _chunk_bases(np, ranks, start, node, count, parent, rank_of, acc, floor):
     owner = key // words
     nbytes = size[owner]
     at = np.cumsum(nbytes) - nbytes  # each kept group's first byte in ``buf``
-    buf = np.zeros(int(nbytes.sum()), np.uint8)
-    # One bit per record: a pair of ``weight`` records sets that many.
-    pos = np.repeat(bit[pe] - (np.cumsum(weight) - weight), weight)
-    pos += np.arange(len(pos))
-    byte = np.repeat(at[slot], weight) + (pos >> 3)
-    np.bitwise_or.at(buf, byte, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
+    # A pair sets bits [lo, hi) of ``buf``, one per record of its entry.
+    # No two ranges share a whole byte: the whole bytes of each range are
+    # marked at both ends and filled by one running sum (mod 256, so an
+    # end that meets the next range's start cancels out). The range's bits
+    # in lo's byte, and in hi's byte where that is another, are OR'ed in.
+    lo = at[slot] * 8 + bit[pe]
+    hi = lo + weight
+    whole_lo, whole_hi = (lo + 7) >> 3, hi >> 3
+    whole = whole_lo < whole_hi
+    buf = np.zeros(int(nbytes.sum()) + 1, np.uint8)
+    buf[whole_lo[whole]] = 1
+    buf[whole_hi[whole]] -= 1
+    np.cumsum(buf, dtype=np.uint8, out=buf)
+    buf *= 255
+    tail = (hi & 7 != 0) & (whole_hi > lo >> 3)
+    a = np.concatenate((lo, hi[tail] & ~7))
+    b = np.concatenate((np.minimum(hi, (lo | 7) + 1), hi[tail]))
+    np.bitwise_or.at(buf, a >> 3, (((1 << (b - a)) - 1) << (a & 7)).astype(np.uint8))
     rows = list(zip((words - 1 - key % words).tolist(), at.tolist(), totals.tolist()))
     cuts = np.searchsorted(owner, np.arange(len(ranks) + 1)).tolist()
     tids = memoryview(buf)

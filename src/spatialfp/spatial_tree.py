@@ -9,8 +9,9 @@ past their common prefix with the one before. The tree is flat arrays
 (node rank, node parent), with no object per node, plus the paper's
 (word, cell) header: per rank, one run of (leaf, node, count) entries
 in (leaf, node) order, so any cell at any level is one range of a run.
-``finalize`` builds the header with numpy: one sort of the logged
-(node, leaf) events and one entry per run of equal events.
+``finalize`` builds the header with numpy: one lexsort of the logged
+(node, leaf) events by (rank, leaf, node) and one entry per run of
+equal events.
 """
 
 from __future__ import annotations
@@ -91,47 +92,32 @@ class SpatialTree:
         self._path: list[int] = []  # its nodes, root excluded
 
     def finalize(self) -> None:
-        """Sort the event log once into the (word, cell) header: by
-        (rank, leaf, node), then one entry per run of equal events."""
+        """Sort the event log once into the (word, cell) header: a lexsort
+        by (rank, leaf, node), then one entry per run of equal events."""
         if self.finalized:
             return
         import numpy as np
 
-        node = np.frombuffer(self._event_node, np.int64)
+        rank_of = np.frombuffer(self.rank_of, np.int64).astype(np.int32)
+        node = np.frombuffer(self._event_node, np.int64).astype(np.int32)
+        self._event_node = array("q")
         leaf = np.frombuffer(self._event_leaf, np.int64)
-        key = np.frombuffer(self.rank_of, np.int64)[node]  # each event's rank
-        events = len(key)
-        nbits, lbits = len(self.rank_of).bit_length(), 2 * self.height
-        if 2 * nbits + lbits < 64:  # (rank, leaf, node) fits one int64 key
-            key <<= lbits
-            key |= leaf
-            key <<= nbits
-            key |= node
-            del node, leaf
-            self._event_node = self._event_leaf = array("q")
-            key.sort()
-            first = np.ones(len(key), bool)
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            first = np.flatnonzero(first)
-            key = key[first]
-            node, leaf, rank = (key & (1 << nbits) - 1, key >> nbits & (1 << lbits) - 1,
-                                key >> nbits + lbits)
-        else:
-            order = np.lexsort((node, leaf, key))
-            node, leaf, key = node[order], leaf[order], key[order]
-            del order
-            self._event_node = self._event_leaf = array("q")
-            first = np.ones(len(key), bool)
-            first[1:] = (node[1:] != node[:-1]) | (leaf[1:] != leaf[:-1])
-            first = np.flatnonzero(first)
-            node, leaf, rank = node[first], leaf[first], key[first]
-        start = np.searchsorted(rank, np.arange(len(self.words) + 1))
-        sizes = np.diff(first, append=events)
+        order = np.lexsort((node, leaf, rank_of[node]))
+        leaf = leaf[order]
+        self._event_leaf = array("q")
+        node = node[order]
+        del order
+        first = np.ones(len(node), bool)
+        first[1:] = (node[1:] != node[:-1]) | (leaf[1:] != leaf[:-1])
+        first = np.flatnonzero(first)
+        sizes = np.diff(first, append=len(node))
+        node, leaf = node[first], leaf[first]
+        start = np.searchsorted(rank_of[node], np.arange(len(self.words) + 1))
         # Each column is freed before the next field grows, which can then
         # reuse its memory.
         columns = [(self.head_start, start), (self.head_count, sizes),
                    (self.head_node, node), (self.head_leaf, leaf)]
-        del key, rank, first, start, sizes, node, leaf
+        del first, start, sizes, node, leaf
         while columns:
             field, column = columns.pop()
             field.frombytes(column.astype(np.int64, copy=False).view(np.uint8))
@@ -181,16 +167,12 @@ def sorted_records(cols: Columns, words: WordTable) -> list[tuple[tuple[int, ...
     """Pass two: each record's retained words as an ascending rank tuple,
     with its leaf, in ascending order of those tuples. Records left with
     no retained word are skipped."""
-    wids = cols.wids
-    # A word id's rank, or -1 for a dropped word: one probe per word.
-    look = [-1] * (max(max(wids, default=-1), max(words.rank, default=-1)) + 1)
-    for w, r in words.rank.items():
-        look[w] = r
+    rank, wids = words.rank, cols.wids
     keyed = []
     start = 0
     for end, leaf in zip(cols.offsets[1:], cols.leaves):
         # Tuples of ints drop out of the cyclic collector's bookkeeping.
-        ranks = tuple(sorted([r for w in wids[start:end] if (r := look[w]) >= 0]))
+        ranks = tuple(sorted([rank[w] for w in wids[start:end] if w in rank]))
         start = end
         if ranks:
             keyed.append((ranks, leaf))

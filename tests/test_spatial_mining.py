@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     FUZZ_BBOX,
     A,
     B,
+    C,
     REF_GRID,
     REF_PATTERNS,
     UnknownEntry,
@@ -373,3 +375,25 @@ def test_array_bases_match_the_path_reference(seed, shape, chunk, monkeypatch):
         assert {item: support for item, _, support in base} == {
             item: support for item, support in supports.items() if support >= floor}
         assert all(tids.bit_count() == support for _, tids, support in base)
+
+
+def test_a_heavy_rank_sets_its_bits_without_a_temporary_per_bit(monkeypatch):
+    # Entries of thousands of records each, in chunks of one rank: some
+    # ranges of bits meet at a byte boundary, some end inside a byte.
+    monkeypatch.setattr(spatial_mining, "CHUNK_PAIRS", 1)
+    groups = [({A, B, C}, GeoPoint(1.0, 1.0), 8000), ({A, B, C}, GeoPoint(3.0, 1.0), 8000),
+              ({A, C}, GeoPoint(1.0, 1.0), 4001), ({B, C}, GeoPoint(1.0, 3.0), 5003),
+              ({A, B}, GeoPoint(3.0, 3.0), 7)]
+    records = [GeoRecord(str(i), frozenset(words), point)
+               for i, (words, point, n) in enumerate(groups) for _ in range(n)]
+    tree = build_tree(records, 2, REF_GRID)
+    tracemalloc.start()
+    try:
+        got = list(conditional_bases(tree, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_bases(tree, 2)
+    bits = sum(tids.bit_length() for _, base in got for _, tids, _ in base)
+    # The packed buffer and the ints made from it, not bytes per bit.
+    assert bits > 40_000 and peak < bits
