@@ -4,9 +4,9 @@ Records (id, wordset, position) are bucketed into a hierarchical
 z-order grid; the miner reports every wordset whose support within a
 single grid cell, at any hierarchy level, reaches the threshold. The
 core is a cell-annotated prefix tree, kept as flat arrays and built in
-two passes over one read of the records (the second appends the records
-in sorted order), plus a growth step that mines, per (word, cell), a
-conditional base of weighted prefix paths.
+two passes over one read of the records (the second builds the whole
+tree with array operations), plus a growth step that mines, per (word,
+cell), a conditional base with one bit per record.
 """
 
 from .datagen import GenConfig, PlantedPattern, generate

@@ -1,9 +1,9 @@
-"""End-to-end mining pipeline: pass one, the sort-built tree, growth.
+"""End-to-end mining pipeline: pass one, the array-built tree, growth.
 
-Pass two turns the in-box records into sorted rank tuples, which build
-the flat-array ``SpatialTree``; ``mine_tree`` emits int rows in one
-list per (level, cell, size), which ``canonical`` sorts into the blocks
-of the ``Patterns`` result.
+Pass two builds the flat-array ``SpatialTree`` from pass one's columns
+in one call; ``mine_tree`` emits int rows in one list per (level, cell,
+size), which ``canonical`` sorts into the blocks of the ``Patterns``
+result.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from .grid import Grid
 from .spatial_mining import Patterns, canonical, expand_sigmas, mine_tree
-from .spatial_tree import (ScanStats, SpatialTree, insert_record, scan_counts,
-                           sorted_records)
+from .spatial_tree import ScanStats, SpatialTree, insert_record, scan_counts
 from .text import GeoRecord
 
 
@@ -71,10 +70,8 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     t1 = time.perf_counter()
 
     tree = SpatialTree(words, grid.height)
-    for ranks, leaf in sorted_records(cols, words):
-        insert_record(tree, ranks, leaf)
-    del cols  # not read again; freed before finalize and growth set the peak
-    tree.finalize()
+    insert_record(tree, cols)
+    del cols  # not read again; freed before growth sets the peak
     t2 = time.perf_counter()
     raw, report.cell_entries = mine_tree(tree, sigmas)
     patterns = canonical(raw, words)

@@ -21,9 +21,5 @@ class DictionaryFull(SpatialFpError):
     """The word-id space is exhausted."""
 
 
-class OrderViolation(SpatialFpError):
-    """A word list handed to tree insertion was not in the tree's order."""
-
-
 class ConfigInvalid(SpatialFpError):
     """Inconsistent or out-of-range configuration values."""

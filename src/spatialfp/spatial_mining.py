@@ -123,7 +123,7 @@ def frequent_cells(tree: SpatialTree, sigmas: Sequence[int],
     if len(sigmas) != height + 1:
         raise ValueError(f"need {height + 1} per-level sigmas, got {len(sigmas)}")
     if not tree.finalized:
-        raise RuntimeError("the tree is read only after finalize()")
+        raise RuntimeError("the tree is read only once built")
     if not tree.head_leaf:
         return [], 0
     import numpy as np
@@ -167,7 +167,7 @@ def conditional_bases(tree: SpatialTree, floor: int) -> Iterator[tuple[int, Base
     range of bits, so the temporaries grow with the pairs, never with the
     bits, and a rank's pairs are never split between runs."""
     if not tree.finalized:
-        raise RuntimeError("the tree is read only after finalize()")
+        raise RuntimeError("the tree is read only once built")
     import numpy as np
 
     start = np.frombuffer(tree.head_start, np.int64)

@@ -3,25 +3,25 @@
 Pass one reads each record once: it keeps the in-box records as compact
 columns and counts every word over them. Words whose global count falls
 below sigma are dropped for good. From pass two on the miner works on
-word ranks in the global order: each record becomes its ascending rank
-tuple, and the records, sorted by those tuples, are appended to the tree
-past their common prefix with the one before. The tree is flat arrays
-(node rank, node parent), with no object per node, plus the paper's
-(word, cell) header: per rank, one run of (leaf, node, count) entries
-in (leaf, node) order, so any cell at any level is one range of a run.
-``finalize`` builds the header with numpy: one lexsort of the logged
-(node, leaf) events by (rank, leaf, node) and one entry per run of
-equal events.
+word ranks in the global order. Pass two builds the whole tree from the
+columns with numpy array operations, with no loop per record: each
+record's ascending ranks, the records in the order of those rank
+tuples, each record sharing the nodes of its common prefix with the one
+before. The tree is flat arrays (node rank, node parent), with no
+object per node, plus the paper's (word, cell) header: per rank, one
+run of (leaf, node, count) entries in (leaf, node) order, so any cell
+at any level is one range of a run. The header is one lexsort of every
+entry's (node, leaf) pair by (rank, leaf), and one header entry per run
+of equal pairs.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import OrderViolation, PointOutOfBounds
+from .errors import PointOutOfBounds
 from .grid import Grid, encode
 from .text import GeoRecord
 
@@ -65,15 +65,13 @@ class SpatialTree:
     """The cell-annotated prefix tree as flat arrays.
 
     Node 0 is the root. Node ``n`` holds the word of rank ``rank_of[n]``
-    under node ``parent_of[n]``. Records must arrive in ascending order
-    of their rank tuples (see ``sorted_records``), so that nodes are
-    numbered in depth-first order and siblings in rank order. Rank
-    ``r``'s header run is ``head_start[r]:head_start[r + 1]`` of
-    ``head_leaf``, ``head_node`` and ``head_count``: one entry per
-    distinct (node, leaf cell) of its nodes, in (leaf, node) order, with
-    the records through that node in that leaf. Until ``finalize`` the
-    header is a log of (node, leaf) events, one per node on each
-    record's path, and every reader raises.
+    under node ``parent_of[n]``. Nodes are numbered in depth-first order
+    and siblings in rank order. Rank ``r``'s header run is
+    ``head_start[r]:head_start[r + 1]`` of ``head_leaf``, ``head_node``
+    and ``head_count``: one entry per distinct (node, leaf cell) of its
+    nodes, in (leaf, node) order, with the records through that node in
+    that leaf. ``insert_record`` builds all six arrays at once; until then
+    the tree is empty and every reader raises.
     """
 
     def __init__(self, words: WordTable, height: int):
@@ -86,47 +84,11 @@ class SpatialTree:
         self.head_node = array("q")
         self.head_count = array("q")
         self.finalized = False
-        self._event_node = array("q")
-        self._event_leaf = array("q")
-        self._last: tuple[int, ...] = ()  # ranks of the last record inserted
-        self._path: list[int] = []  # its nodes, root excluded
-
-    def finalize(self) -> None:
-        """Sort the event log once into the (word, cell) header: a lexsort
-        by (rank, leaf, node), then one entry per run of equal events."""
-        if self.finalized:
-            return
-        import numpy as np
-
-        rank_of = np.frombuffer(self.rank_of, np.int64).astype(np.int32)
-        node = np.frombuffer(self._event_node, np.int64).astype(np.int32)
-        self._event_node = array("q")
-        leaf = np.frombuffer(self._event_leaf, np.int64)
-        order = np.lexsort((node, leaf, rank_of[node]))
-        leaf = leaf[order]
-        self._event_leaf = array("q")
-        node = node[order]
-        del order
-        first = np.ones(len(node), bool)
-        first[1:] = (node[1:] != node[:-1]) | (leaf[1:] != leaf[:-1])
-        first = np.flatnonzero(first)
-        sizes = np.diff(first, append=len(node))
-        node, leaf = node[first], leaf[first]
-        start = np.searchsorted(rank_of[node], np.arange(len(self.words) + 1))
-        # Each column is freed before the next field grows, which can then
-        # reuse its memory.
-        columns = [(self.head_start, start), (self.head_count, sizes),
-                   (self.head_node, node), (self.head_leaf, leaf)]
-        del first, start, sizes, node, leaf
-        while columns:
-            field, column = columns.pop()
-            field.frombytes(column.astype(np.int64, copy=False).view(np.uint8))
-        self.finalized = True
 
     def nodes_of(self, wid: int) -> array:
         """Every tree node holding word id ``wid``, in ascending node order."""
         if not self.finalized:
-            raise RuntimeError("the tree is read only after finalize()")
+            raise RuntimeError("the tree is read only once built")
         r = self.words.rank.get(wid)
         run = slice(0, 0) if r is None else slice(self.head_start[r], self.head_start[r + 1])
         return array("q", sorted(set(self.head_node[run])))
@@ -155,68 +117,131 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
         wids.extend(rec.words)
         offsets.append(len(wids))
         leaves.append(leaf)
-    counts = Counter(wids)
+    import numpy as np
+
+    counts = np.bincount(np.frombuffer(wids, np.uint32))
+    kept = np.flatnonzero(counts >= sigma)
     if stats is not None:
         stats.records = seen
         stats.skipped = skipped
-        stats.distinct_words = len(counts)
-    return WordTable({w: c for w, c in counts.items() if c >= sigma}), cols
+        stats.distinct_words = int(np.count_nonzero(counts))
+    return WordTable(dict(zip(kept.tolist(), counts[kept].tolist()))), cols
 
 
-def sorted_records(cols: Columns, words: WordTable) -> list[tuple[tuple[int, ...], int]]:
-    """Pass two: each record's retained words as an ascending rank tuple,
-    with its leaf, in ascending order of those tuples. Records left with
-    no retained word are skipped."""
-    rank, wids = words.rank, cols.wids
-    keyed = []
-    start = 0
-    for end, leaf in zip(cols.offsets[1:], cols.leaves):
-        # Tuples of ints drop out of the cyclic collector's bookkeeping.
-        ranks = tuple(sorted([rank[w] for w in wids[start:end] if w in rank]))
-        start = end
-        if ranks:
-            keyed.append((ranks, leaf))
-    keyed.sort()
-    return keyed
+def insert_record(tree: SpatialTree, cols: Columns) -> None:
+    """Pass two: build all of ``tree`` from pass one's columns at once.
 
-
-def insert_record(tree: SpatialTree, ranks: Sequence[int], cell: int) -> None:
-    """Second-pass insertion of one record's retained words as ranks.
-
-    ``ranks`` must be strictly ascending ints in ``range(len(tree.words))``.
-    Reuses the previous record's path up to their common prefix, appends
-    nodes for the rest and logs one event per node on the path. Records
-    must come in ``sorted_records`` order; equal records may recur.
+    One call per run, as numpy array operations, under this name because
+    the benchmark's tracer times pass two by wrapping
+    ``engine.insert_record``. Each record becomes its ascending retained
+    ranks, and the records are ordered by those rank tuples. A record
+    shares the nodes of its common prefix with the record before it;
+    each entry past that prefix is a new node, numbered in entry order,
+    which is depth-first order. Records left with no retained word add
+    nothing.
     """
     if tree.finalized:
-        raise RuntimeError("cannot insert after finalize()")
-    if not 0 <= cell < 1 << 2 * tree.height:
-        raise ValueError(f"leaf cell {cell} outside a height-{tree.height} grid")
-    ranks, n = tuple(ranks), len(tree.words)
-    prev = -1
-    for r in ranks:
-        if r <= prev or r >= n:
-            raise OrderViolation(f"ranks {ranks} not strictly ascending in 0..{n - 1}")
-        prev = r
-    if not ranks:
-        return
-    last, path = tree._last, tree._path
-    if ranks < last:
-        raise OrderViolation("record sorts before the one inserted last")
-    k = 0
-    for r, prev in zip(ranks, last):
-        if r != prev:
-            break
-        k += 1
-    del path[k:]
-    rank_of, parent_of = tree.rank_of, tree.parent_of
-    parent = path[-1] if path else 0
-    for r in ranks[k:]:
-        node = len(rank_of)
-        rank_of.append(r)
-        parent_of.append(parent)
-        path.append(node)
-        parent = node
-    tree._last = ranks
-    tree._event_node.extend(path)
-    tree._event_leaf.extend([cell] * len(path))
+        raise RuntimeError("the tree is already built")
+    import numpy as np
+
+    words = tree.words
+    wids = np.frombuffer(cols.wids, np.uint32)
+    # Each entry's rank, -1 for a dropped word, through one lookup table.
+    table = np.full(max(int(wids.max(initial=0)), max(words.order, default=0)) + 1, -1, np.int32)
+    table[words.order] = np.arange(len(words), dtype=np.int32)
+    rank = table[wids]
+    del table
+    keep = rank >= 0
+    # Ranks ascending within each record: one sort by (record, rank).
+    key = np.repeat(np.arange(len(cols.leaves)), np.diff(np.frombuffer(cols.offsets, np.int64)))
+    key = key[keep]
+    lens = np.bincount(key, minlength=len(cols.leaves))
+    key *= len(words)
+    key += rank[keep]
+    del rank, keep
+    key.sort()
+    rank = (key % len(words)).astype(np.int32)
+    del key
+    # The records that keep a word, ordered by their rank tuples: big-endian
+    # bytes compare as the tuples do, a prefix before its extensions.
+    recs = np.flatnonzero(lens)
+    lens = lens[recs]
+    starts = np.cumsum(lens) - lens
+    buf = rank.astype(">u4").tobytes()
+    keys = [buf[a:b] for a, b in zip((4 * starts).tolist(), (4 * (starts + lens)).tolist())]
+    del buf
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), np.int64)
+    del keys
+    # Entries in that order, with each one's depth in its record.
+    recs, lens, starts = recs[order], lens[order], starts[order]
+    del order
+    firsts = np.cumsum(lens) - lens
+    at = np.repeat(np.arange(len(recs), dtype=np.int32), lens)
+    depth = np.arange(len(at), dtype=np.int32)
+    depth -= firsts.astype(np.int32)[at]
+    rank = rank[starts[at] + depth]
+    leaf = np.frombuffer(cols.leaves, np.int64)[recs][at]
+    del recs, starts
+    # An entry is shared with the record before when that record has the
+    # same ranks down to its depth, and new from the first that differs.
+    before = np.concatenate(([0], lens[:-1])).astype(np.int32)[at]
+    same = depth < before
+    same &= rank[np.arange(len(at)) - before] == rank
+    del before
+    prefix = np.minimum.reduceat(np.where(same, len(at), depth), firsts)
+    new = depth >= prefix[at]
+    del at, same, prefix, lens, firsts
+    # New entries take node ids in entry order; every other entry the id
+    # of the last new entry at its depth, which is its node in the record
+    # before.
+    node = np.cumsum(new, dtype=np.int32)
+    by_depth = np.argsort(_narrow(np, depth, depth.max(initial=0)), kind="stable")
+    last = np.where(new[by_depth], np.arange(len(new), dtype=np.int32), 0)
+    np.maximum.accumulate(last, out=last)
+    node[by_depth] = node[by_depth][last]
+    del by_depth, last
+    # A new node hangs under the entry before it in its record, or the root.
+    new = np.flatnonzero(new)
+    parent = np.where(depth[new] > 0, node[new - 1], 0)
+    del depth
+    for field, column in ((tree.rank_of, rank[new]), (tree.parent_of, parent)):
+        field.frombytes(column.astype(np.int64).view(np.uint8))
+    del new, parent
+    _write_header(tree, rank, leaf, node)
+
+
+def _write_header(tree: SpatialTree, rank, leaf, node) -> None:
+    """Sort the (node, leaf) pair of every entry, with its rank, into the
+    (word, cell) header, then one header entry per run of equal pairs.
+    Marks the tree built. The entries come in record order, so the nodes
+    of each rank ascend already, and a stable sort by (rank, leaf) is a
+    sort by (rank, leaf, node). Keys cast to their narrowest unsigned type
+    sort by radix when they fit 16 bits."""
+    import numpy as np
+
+    order = np.lexsort((_narrow(np, leaf, (1 << 2 * tree.height) - 1),
+                        _narrow(np, rank, len(tree.words))))
+    leaf = leaf[order]
+    node = node[order]
+    rank = rank[order]
+    del order
+    first = np.ones(len(node), bool)
+    first[1:] = (node[1:] != node[:-1]) | (leaf[1:] != leaf[:-1])
+    first = np.flatnonzero(first)
+    sizes = np.diff(first, append=len(node))
+    node, leaf, rank = node[first], leaf[first], rank[first]
+    start = np.searchsorted(rank, np.arange(len(tree.words) + 1))
+    # Each column is freed before the next field grows, which can then
+    # reuse its memory.
+    columns = [(tree.head_start, start), (tree.head_count, sizes),
+               (tree.head_node, node), (tree.head_leaf, leaf)]
+    del first, start, sizes, node, leaf, rank
+    while columns:
+        field, column = columns.pop()
+        field.frombytes(column.astype(np.int64, copy=False).view(np.uint8))
+    tree.finalized = True
+
+
+def _narrow(np, a, top: int):
+    """``a``, of values in ``0..top``, in the narrowest unsigned type."""
+    return a.astype(np.min_scalar_type(top), copy=False)

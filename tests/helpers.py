@@ -19,7 +19,7 @@ from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode
 from spatialfp.spatial_mining import (CellRows, Patterns, SpatialPattern, canonical, mine_tree,
                                       row_layout)
 from spatialfp.spatial_tree import (Columns, ScanStats, SpatialTree, WordTable, insert_record,
-                                   scan_counts, sorted_records)
+                                   scan_counts)
 from spatialfp.text import GeoRecord, Vocabulary, tokenize
 
 # --- grid and vocabulary queries the program itself does not need ---------
@@ -169,12 +169,10 @@ def fuzz_instance(seed: int):
 
 def build_tree(source, sigma: int, grid: Grid,
                stats: ScanStats | None = None) -> SpatialTree:
-    """Both passes over one read of ``source``, finalized, without growth."""
+    """Both passes over one read of ``source``, built, without growth."""
     words, cols = scan_counts(source, sigma, grid, stats)
     tree = SpatialTree(words, grid.height)
-    for ranks, leaf in sorted_records(cols, words):
-        insert_record(tree, ranks, leaf)
-    tree.finalize()
+    insert_record(tree, cols)
     return tree
 
 
@@ -188,11 +186,106 @@ def columns_of(records) -> Columns:
     return cols
 
 
-def reference_header(tree: SpatialTree) -> tuple[array, array, array, array]:
+# --- the reference pass two: sorted rank tuples, one record at a time -------
+
+
+class OrderViolation(SpatialFpError):
+    """A word list handed to ``reference_insert`` was not in the tree's order."""
+
+
+class ReferenceTree(SpatialTree):
+    """A ``SpatialTree`` grown one record at a time by ``reference_insert``,
+    the reference for the array build, with its event log: one (node,
+    leaf) event per node on each record's path. ``finalize`` sorts the
+    log into the header by ``reference_header``."""
+
+    def __init__(self, words: WordTable, height: int):
+        super().__init__(words, height)
+        self._event_node = array("q")
+        self._event_leaf = array("q")
+        self._last: tuple[int, ...] = ()  # ranks of the last record inserted
+        self._path: list[int] = []  # its nodes, root excluded
+
+    def finalize(self) -> None:
+        if self.finalized:
+            return
+        for field, column in zip((self.head_start, self.head_leaf, self.head_node,
+                                  self.head_count), reference_header(self)):
+            field.extend(column)
+        self.finalized = True
+
+
+def sorted_records(cols: Columns, words: WordTable) -> list[tuple[tuple[int, ...], int]]:
+    """Each record's retained words as an ascending rank tuple, with its
+    leaf, in ascending order of those tuples. Records left with no
+    retained word are skipped."""
+    rank, wids = words.rank, cols.wids
+    keyed = []
+    start = 0
+    for end, leaf in zip(cols.offsets[1:], cols.leaves):
+        ranks = tuple(sorted([rank[w] for w in wids[start:end] if w in rank]))
+        start = end
+        if ranks:
+            keyed.append((ranks, leaf))
+    keyed.sort()
+    return keyed
+
+
+def reference_insert(tree: ReferenceTree, ranks: Sequence[int], cell: int) -> None:
+    """Insert one record's retained words as ranks.
+
+    ``ranks`` must be strictly ascending ints in ``range(len(tree.words))``.
+    Reuses the previous record's path up to their common prefix, appends
+    nodes for the rest and logs one event per node on the path. Records
+    must come in ``sorted_records`` order; equal records may recur.
+    """
+    if tree.finalized:
+        raise RuntimeError("cannot insert after finalize()")
+    if not 0 <= cell < 1 << 2 * tree.height:
+        raise ValueError(f"leaf cell {cell} outside a height-{tree.height} grid")
+    ranks, n = tuple(ranks), len(tree.words)
+    prev = -1
+    for r in ranks:
+        if r <= prev or r >= n:
+            raise OrderViolation(f"ranks {ranks} not strictly ascending in 0..{n - 1}")
+        prev = r
+    if not ranks:
+        return
+    last, path = tree._last, tree._path
+    if ranks < last:
+        raise OrderViolation("record sorts before the one inserted last")
+    k = 0
+    for r, prev in zip(ranks, last):
+        if r != prev:
+            break
+        k += 1
+    del path[k:]
+    rank_of, parent_of = tree.rank_of, tree.parent_of
+    parent = path[-1] if path else 0
+    for r in ranks[k:]:
+        node = len(rank_of)
+        rank_of.append(r)
+        parent_of.append(parent)
+        path.append(node)
+        parent = node
+    tree._last = ranks
+    tree._event_node.extend(path)
+    tree._event_leaf.extend([cell] * len(path))
+
+
+def reference_tree(cols: Columns, words: WordTable, height: int) -> ReferenceTree:
+    """The tree of ``cols`` built by the reference pass two, finalized."""
+    tree = ReferenceTree(words, height)
+    for ranks, leaf in sorted_records(cols, words):
+        reference_insert(tree, ranks, leaf)
+    tree.finalize()
+    return tree
+
+
+def reference_header(tree: ReferenceTree) -> tuple[array, array, array, array]:
     """``head_start``, ``head_leaf``, ``head_node`` and ``head_count`` of
-    a tree not yet finalized, built from its event log as ``finalize``
-    built them before it sorted arrays: one Python int per event, sorted,
-    then one entry per run of equal ints."""
+    a reference tree, from its event log: one Python int per event,
+    sorted, then one entry per run of equal ints."""
     rank_of = tree.rank_of
     shift, width = 2 * tree.height, len(rank_of).bit_length()
     node_mask, leaf_mask = (1 << width) - 1, (1 << shift) - 1

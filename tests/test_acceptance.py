@@ -243,12 +243,19 @@ def test_c5_sigma_sweep(capsys):
     what = "raising sigma never adds patterns and shrinks growth time"
     started = time.perf_counter()
     with announce_failure(capsys, "C5", what):
+        # Three rounds in alternating order, each sigma keeping its min
+        # growth time: growth at sigma 16 takes about 0.1 s, so one slow
+        # run of it alone (a busy neighbour) could invert the order.
         records = _scale_records(100_000)
-        counts, times = [], []
-        for sigma in (2, 4, 8, 16):
-            _, report = engine.mine(records, sigma, SCALE_GRID)
-            counts.append(report.pattern_count)
-            times.append(report.growth_ms)
+        sigmas = (2, 4, 8, 16)
+        counts, times = {}, {sigma: float("inf") for sigma in sigmas}
+        for i in range(3):
+            for sigma in sorted(sigmas, reverse=i % 2 == 1):
+                _, report = engine.mine(records, sigma, SCALE_GRID)
+                counts[sigma] = report.pattern_count
+                times[sigma] = min(times[sigma], report.growth_ms)
+        counts = [counts[sigma] for sigma in sigmas]
+        times = [times[sigma] for sigma in sigmas]
 
         for prev, cur in zip(counts, counts[1:]):
             assert cur <= prev, f"pattern counts not monotone: {counts}"

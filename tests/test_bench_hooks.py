@@ -119,7 +119,9 @@ def test_every_timed_layer_is_called(perfbench_modules, traced):
 
 def test_layer_call_counts_match_the_corpus(traced, corpus):
     """Each per-record layer is entered once per record it serves, so a
-    loop that stops calling one cannot leave its layer reading zero."""
+    loop that stops calling one cannot leave its layer reading zero.
+    Pass two is one call per run, and the tree it builds holds each
+    record that keeps a word exactly once under the root."""
     lines = [line for line in corpus.read_text(encoding="utf-8").splitlines() if line.strip()]
     records = [json.loads(line) for line in lines]
     in_box = [r for r in records if -10 <= r["lon"] <= 10 and -5 <= r["lat"] <= 5]
@@ -130,7 +132,12 @@ def test_layer_call_counts_match_the_corpus(traced, corpus):
     assert calls["formats.parse"] == len(lines)
     assert calls["text.tokenize"] == sum("words" not in r for r in records)
     assert calls["grid.encode"] == len(in_box)
-    assert calls["spatial_tree.insert"] == sum(
+    assert calls["spatial_tree.insert"] == 1
+    tree = build_tree(FileSource(str(corpus), Vocabulary()), kept,
+                      Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), HEIGHT))
+    through_root_children = sum(count for node, count in zip(tree.head_node, tree.head_count)
+                                if tree.parent_of[node] == 0)
+    assert through_root_children == sum(
         any(counts[w] >= kept for w in ws) for ws in wordsets) < len(in_box)
 
 
