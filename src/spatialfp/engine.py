@@ -1,9 +1,9 @@
 """End-to-end mining pipeline: pass one, the array-built tree, growth.
 
-Pass two builds the flat-array ``SpatialTree`` from pass one's columns
-in one call; ``mine_tree`` emits int rows in one list per (level, cell,
-size), which ``canonical`` sorts into the blocks of the ``Patterns``
-result.
+Pass two is one call that builds and returns the flat-array
+``SpatialTree`` from pass one's columns; ``mine_tree`` emits int rows in
+one list per (level, cell, size), which ``canonical`` sorts into the
+blocks of the ``Patterns`` result.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from .grid import Grid
 from .spatial_mining import Patterns, canonical, expand_sigmas, mine_tree
-from .spatial_tree import ScanStats, SpatialTree, insert_record, scan_counts
+from .spatial_tree import ScanStats, insert_record, scan_counts
 from .text import GeoRecord
 
 
@@ -69,8 +69,7 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
         after_scan()
     t1 = time.perf_counter()
 
-    tree = SpatialTree(words, grid.height)
-    insert_record(tree, cols)
+    tree = insert_record(words, cols, grid.height)
     del cols  # not read again; freed before growth sets the peak
     t2 = time.perf_counter()
     raw, report.cell_entries = mine_tree(tree, sigmas)

@@ -8,8 +8,9 @@ tree's (word, cell) header, in leaf order, makes the word's one vertical
 base; quad-tree cells nest, so any cell is one leaf-code range of both.
 Three steps are numpy array operations, each done once for all ranks:
 ``frequent_cells`` lists every frequent (rank, cell) by one split of all
-runs per level, and ``conditional_bases`` sets every base's bits from
-one walk of the header entries' ancestors per run of ranks. Python keeps
+runs per level, and ``conditional_bases`` sets the bits of the bases of
+the ranks with a frequent cell from one walk of the header entries'
+ancestors per run of ranks. Python keeps
 only the per-cell slice of a base and the growth inside it. Every
 pattern is one int row (see ``row_layout``), appended at the cell where
 it reached the threshold, with its exact per-cell support, to the list
@@ -78,7 +79,8 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
     ranks. Also the number of (word, leaf cell) header entries.
 
     Each frequent (rank, cell) from ``frequent_cells`` emits its row and
-    grows its slice of the rank's base from ``conditional_bases``. A
+    grows its slice of the rank's base from ``conditional_bases``, which
+    builds the bases of those ranks only. A
     rank is the largest of its patterns, as its base holds the ranks
     above its nodes, so its own slot is the least significant and growth
     adds slots above it.
@@ -86,10 +88,10 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
     cells, header_entries = frequent_cells(tree, sigmas)
     width, cbits = row_layout(tree.words)
     out: CellRows = {}
-    bases = conditional_bases(tree, min(sigmas))
+    bases = conditional_bases(tree, min(sigmas), cells[0])  # ranks of the frequent cells
     past = (len(tree.words), None)  # after every rank
     r_base, base = next(bases, past)
-    for r, level, code, lo, hi in cells:
+    for r, level, code, lo, hi in zip(*cells):
         while r_base < r:
             r_base, base = next(bases, past)
         lists = out.setdefault((level, code), [[]])
@@ -104,17 +106,15 @@ def mine_tree(tree: SpatialTree, sigmas: Sequence[int]) -> tuple[CellRows, int]:
                         lists[k] += rows
                     else:
                         lists.append(rows)
-    for _ in bases:  # every base is built, a word with no frequent cell too
-        pass
     return out, header_entries
 
 
 def frequent_cells(tree: SpatialTree, sigmas: Sequence[int],
-                   ) -> tuple[Iterable[tuple[int, int, int, int, int]], int]:
-    """Every (rank, cell) whose count reaches its level's sigma, as
-    ``(rank, level, code, lo, hi)`` in ascending rank, where ``[lo, hi)``
-    are the cell's records as bits of the rank's base; and the number of
-    (word, leaf cell) header entries.
+                   ) -> tuple[tuple[list[int], ...], int]:
+    """Every (rank, cell) whose count reaches its level's sigma, as the
+    columns ``(rank, level, code, lo, hi)`` in ascending rank, where
+    ``[lo, hi)`` are the cell's records as bits of the rank's base; and
+    the number of (word, leaf cell) header entries.
 
     A rank's header run, in leaf order, is one contiguous range per cell
     at any level, so one split of all runs per level finds every cell.
@@ -122,15 +122,12 @@ def frequent_cells(tree: SpatialTree, sigmas: Sequence[int],
     height = tree.height
     if len(sigmas) != height + 1:
         raise ValueError(f"need {height + 1} per-level sigmas, got {len(sigmas)}")
-    if not tree.finalized:
-        raise RuntimeError("the tree is read only once built")
-    if not tree.head_leaf:
-        return [], 0
+    start, leaf = tree.head_start, tree.head_leaf
+    n = len(leaf)
+    if not n:
+        return ([],) * 5, 0
     import numpy as np
 
-    start = np.frombuffer(tree.head_start, np.int64)
-    leaf = np.frombuffer(tree.head_leaf, np.int64)
-    n = len(leaf)
     acc = np.concatenate(([0], np.cumsum(tree.head_count)))  # records before each entry
     # A run of entries starts where the rank or the cell changes; cells
     # nest, so each level keeps the cuts of the one above it.
@@ -153,59 +150,45 @@ def frequent_cells(tree: SpatialTree, sigmas: Sequence[int],
     order = np.argsort(rank)
     rank, level, code, lo, total = rank[order], level[order], code[order], lo[order], total[order]
     lo = acc[lo] - acc[start[rank]]  # bits count from the rank's first record
-    return zip(rank.tolist(), level.tolist(), code.tolist(), lo.tolist(),
-               (lo + total).tolist()), header_entries
+    return tuple(column.tolist() for column in (rank, level, code, lo, lo + total)), header_entries
 
 
-def conditional_bases(tree: SpatialTree, floor: int) -> Iterator[tuple[int, Base]]:
-    """``(rank, base)`` in ascending rank, for every rank whose records
-    below its root child reach ``floor``: the base holds each item, a
-    rank above the word's nodes, with its records' bits, and drops the
-    items whose support misses ``floor``. The bits of a run of ranks are
-    set at once, from one expansion of their entries' ancestors, into one
-    packed buffer. Each (entry, item) pair sets its entry's records as one
-    range of bits, so the temporaries grow with the pairs, never with the
-    bits, and a rank's pairs are never split between runs."""
-    if not tree.finalized:
-        raise RuntimeError("the tree is read only once built")
+def conditional_bases(tree: SpatialTree, floor: int,
+                      ranks: Sequence[int]) -> Iterator[tuple[int, Base]]:
+    """``(rank, base)`` in ascending rank, for each of ``ranks`` (repeats
+    allowed) whose records below its root child reach ``floor``: the base
+    holds each item, a rank above the word's nodes, with its records'
+    bits, and drops the items whose support misses ``floor``. The bits of
+    a run of ranks are set at once, from one expansion of their entries'
+    ancestors, into one packed buffer. Each (entry, item) pair sets its
+    entry's records as one range of bits, so the temporaries grow with the
+    pairs, never with the bits, and a rank's pairs are never split between
+    runs."""
     import numpy as np
 
-    start = np.frombuffer(tree.head_start, np.int64)
-    node = np.frombuffer(tree.head_node, np.int64)
-    count = np.frombuffer(tree.head_count, np.int64)
-    parent = np.frombuffer(tree.parent_of, np.int64).astype(np.int32)
-    rank_of = np.frombuffer(tree.rank_of, np.int64).astype(np.int32)
-    # Each node's ancestors below the root, counted by walking all nodes
-    # up at once; a root child has none, so its records add no item.
-    above = np.zeros(len(parent), np.int32)
-    at = np.arange(1, len(parent), dtype=np.int32)
-    up = parent[at]
-    while len(at):
-        at, up = at[up != 0], up[up != 0]
-        above[at] += 1
-        up = parent[up]
-    pairs = above[node]  # (entry, item) pairs of each entry
+    start, node, count = tree.head_start, tree.head_node, tree.head_count
+    pairs = tree.depth_of[node]  # (entry, item) pairs of each entry, none at a root child
     deep = np.where(pairs > 0, count, 0)
-    del above, at, up
 
     def per_rank(x):
         sums = np.zeros(len(x) + 1, np.int64)
         np.cumsum(x, out=sums[1:])
         return np.diff(sums[start])
 
-    build = np.flatnonzero(per_rank(deep) >= floor)
+    build = np.unique(np.asarray(ranks, np.int64))
+    build = build[per_rank(deep)[build] >= floor]
     load = per_rank(pairs)[build].tolist()
     del pairs, deep
-    # Made once the walk's arrays are freed, it can reuse their memory,
-    # which lowers the peak.
+    # Made once ``pairs`` and ``deep`` are freed, it can reuse their
+    # memory, which lowers the peak.
     acc = np.concatenate(([0], np.cumsum(count)))
     chunk, held = [], 0
     for i, r in enumerate(build.tolist()):
         chunk.append(r)
         held += load[i]
         if held >= CHUNK_PAIRS or i == len(load) - 1:
-            yield from _chunk_bases(np, chunk, start, node, count, parent, rank_of,
-                                    acc, floor)
+            yield from _chunk_bases(np, chunk, start, node, count, tree.parent_of,
+                                    tree.rank_of, acc, floor)
             chunk, held = [], 0
 
 

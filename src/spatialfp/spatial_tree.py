@@ -7,23 +7,26 @@ word ranks in the global order. Pass two builds the whole tree from the
 columns with numpy array operations, with no loop per record: each
 record's ascending ranks, the records in the order of those rank
 tuples, each record sharing the nodes of its common prefix with the one
-before. The tree is flat arrays (node rank, node parent), with no
-object per node, plus the paper's (word, cell) header: per rank, one
-run of (leaf, node, count) entries in (leaf, node) order, so any cell
-at any level is one range of a run. The header is one lexsort of every
-entry's (node, leaf) pair by (rank, leaf), and one header entry per run
-of equal pairs.
+before. It returns the tree as one frozen value that growth only reads:
+flat numpy arrays (node rank, parent and depth), with no object per
+node, plus the paper's (word, cell) header: per rank, one run of (leaf,
+node, count) entries in (leaf, node) order, so any cell at any level is
+one range of a run. The header is one lexsort of every entry's (node,
+leaf) pair by (rank, leaf), and one header entry per run of equal pairs.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import PointOutOfBounds
 from .grid import Grid, encode
 from .text import GeoRecord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -61,37 +64,37 @@ class Columns:
         self.leaves = array("q")
 
 
+@dataclass(frozen=True, eq=False)
 class SpatialTree:
-    """The cell-annotated prefix tree as flat arrays.
+    """The cell-annotated prefix tree as flat numpy arrays, built at once
+    by ``insert_record`` and only read after that.
 
     Node 0 is the root. Node ``n`` holds the word of rank ``rank_of[n]``
-    under node ``parent_of[n]``. Nodes are numbered in depth-first order
-    and siblings in rank order. Rank ``r``'s header run is
-    ``head_start[r]:head_start[r + 1]`` of ``head_leaf``, ``head_node``
-    and ``head_count``: one entry per distinct (node, leaf cell) of its
-    nodes, in (leaf, node) order, with the records through that node in
-    that leaf. ``insert_record`` builds all six arrays at once; until then
-    the tree is empty and every reader raises.
+    under node ``parent_of[n]``, with ``depth_of[n]`` nodes between it
+    and the root. Nodes are numbered in depth-first order and siblings in
+    rank order. Rank ``r``'s header run is ``head_start[r]:head_start[r + 1]``
+    of ``head_leaf``, ``head_node`` and ``head_count``: one entry per
+    distinct (node, leaf cell) of its nodes, in (leaf, node) order, with
+    the records through that node in that leaf.
     """
 
-    def __init__(self, words: WordTable, height: int):
-        self.words = words
-        self.height = height
-        self.rank_of = array("q", [-1])
-        self.parent_of = array("q", [0])
-        self.head_start = array("q")
-        self.head_leaf = array("q")
-        self.head_node = array("q")
-        self.head_count = array("q")
-        self.finalized = False
+    words: WordTable
+    height: int
+    rank_of: np.ndarray
+    parent_of: np.ndarray
+    depth_of: np.ndarray
+    head_start: np.ndarray
+    head_leaf: np.ndarray
+    head_node: np.ndarray
+    head_count: np.ndarray
 
-    def nodes_of(self, wid: int) -> array:
+    def nodes_of(self, wid: int) -> np.ndarray:
         """Every tree node holding word id ``wid``, in ascending node order."""
-        if not self.finalized:
-            raise RuntimeError("the tree is read only once built")
+        import numpy as np
+
         r = self.words.rank.get(wid)
         run = slice(0, 0) if r is None else slice(self.head_start[r], self.head_start[r + 1])
-        return array("q", sorted(set(self.head_node[run])))
+        return np.unique(self.head_node[run])
 
 
 def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
@@ -128,8 +131,8 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
     return WordTable(dict(zip(kept.tolist(), counts[kept].tolist()))), cols
 
 
-def insert_record(tree: SpatialTree, cols: Columns) -> None:
-    """Pass two: build all of ``tree`` from pass one's columns at once.
+def insert_record(words: WordTable, cols: Columns, height: int) -> SpatialTree:
+    """Pass two: the whole tree of pass one's columns, built at once.
 
     One call per run, as numpy array operations, under this name because
     the benchmark's tracer times pass two by wrapping
@@ -140,11 +143,8 @@ def insert_record(tree: SpatialTree, cols: Columns) -> None:
     which is depth-first order. Records left with no retained word add
     nothing.
     """
-    if tree.finalized:
-        raise RuntimeError("the tree is already built")
     import numpy as np
 
-    words = tree.words
     wids = np.frombuffer(cols.wids, np.uint32)
     # Each entry's rank, -1 for a dropped word, through one lookup table.
     table = np.full(max(int(wids.max(initial=0)), max(words.order, default=0)) + 1, -1, np.int32)
@@ -203,24 +203,23 @@ def insert_record(tree: SpatialTree, cols: Columns) -> None:
     # A new node hangs under the entry before it in its record, or the root.
     new = np.flatnonzero(new)
     parent = np.where(depth[new] > 0, node[new - 1], 0)
-    del depth
-    for field, column in ((tree.rank_of, rank[new]), (tree.parent_of, parent)):
-        field.frombytes(column.astype(np.int64).view(np.uint8))
-    del new, parent
-    _write_header(tree, rank, leaf, node)
+    # The root is node 0, of no rank, its own parent, at depth 0.
+    rank_of, parent_of, depth_of = (np.insert(column, 0, root) for column, root
+                                    in ((rank[new], -1), (parent, 0), (depth[new], 0)))
+    del new, parent, depth
+    return SpatialTree(words, height, rank_of, parent_of, depth_of,
+                       *_header(np, rank, leaf, node, height, len(words)))
 
 
-def _write_header(tree: SpatialTree, rank, leaf, node) -> None:
-    """Sort the (node, leaf) pair of every entry, with its rank, into the
+def _header(np, rank, leaf, node, height: int, nwords: int):
+    """``head_start``, ``head_leaf``, ``head_node`` and ``head_count``:
+    the (node, leaf) pair of every entry, with its rank, sorted into the
     (word, cell) header, then one header entry per run of equal pairs.
-    Marks the tree built. The entries come in record order, so the nodes
-    of each rank ascend already, and a stable sort by (rank, leaf) is a
-    sort by (rank, leaf, node). Keys cast to their narrowest unsigned type
-    sort by radix when they fit 16 bits."""
-    import numpy as np
-
-    order = np.lexsort((_narrow(np, leaf, (1 << 2 * tree.height) - 1),
-                        _narrow(np, rank, len(tree.words))))
+    The entries come in record order, so the nodes of each rank ascend
+    already, and a stable sort by (rank, leaf) is a sort by (rank, leaf,
+    node). Keys cast to their narrowest unsigned type sort by radix when
+    they fit 16 bits."""
+    order = np.lexsort((_narrow(np, leaf, (1 << 2 * height) - 1), _narrow(np, rank, nwords)))
     leaf = leaf[order]
     node = node[order]
     rank = rank[order]
@@ -230,16 +229,7 @@ def _write_header(tree: SpatialTree, rank, leaf, node) -> None:
     first = np.flatnonzero(first)
     sizes = np.diff(first, append=len(node))
     node, leaf, rank = node[first], leaf[first], rank[first]
-    start = np.searchsorted(rank, np.arange(len(tree.words) + 1))
-    # Each column is freed before the next field grows, which can then
-    # reuse its memory.
-    columns = [(tree.head_start, start), (tree.head_count, sizes),
-               (tree.head_node, node), (tree.head_leaf, leaf)]
-    del first, start, sizes, node, leaf, rank
-    while columns:
-        field, column = columns.pop()
-        field.frombytes(column.astype(np.int64, copy=False).view(np.uint8))
-    tree.finalized = True
+    return np.searchsorted(rank, np.arange(nwords + 1)), leaf, node, sizes
 
 
 def _narrow(np, a, top: int):

@@ -11,6 +11,8 @@ from array import array
 from itertools import accumulate, chain, combinations, repeat, starmap
 from typing import Sequence
 
+import numpy as np
+
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
 from spatialfp.errors import InvalidLevel, PointOutOfBounds, SpatialFpError
 from spatialfp.formats import MalformedRecord
@@ -171,9 +173,7 @@ def build_tree(source, sigma: int, grid: Grid,
                stats: ScanStats | None = None) -> SpatialTree:
     """Both passes over one read of ``source``, built, without growth."""
     words, cols = scan_counts(source, sigma, grid, stats)
-    tree = SpatialTree(words, grid.height)
-    insert_record(tree, cols)
-    return tree
+    return insert_record(words, cols, grid.height)
 
 
 def columns_of(records) -> Columns:
@@ -193,26 +193,33 @@ class OrderViolation(SpatialFpError):
     """A word list handed to ``reference_insert`` was not in the tree's order."""
 
 
-class ReferenceTree(SpatialTree):
-    """A ``SpatialTree`` grown one record at a time by ``reference_insert``,
-    the reference for the array build, with its event log: one (node,
-    leaf) event per node on each record's path. ``finalize`` sorts the
-    log into the header by ``reference_header``."""
+class ReferenceTree:
+    """A tree grown one record at a time by ``reference_insert``, the
+    reference for the array build: each node's rank and parent, and an
+    event log of one (node, leaf) event per node on each record's path.
+    ``finalize`` sorts the log into the header by ``reference_header``
+    and returns the ``SpatialTree`` of these arrays, with each node's
+    depth counted from its parent's."""
 
     def __init__(self, words: WordTable, height: int):
-        super().__init__(words, height)
+        self.words = words
+        self.height = height
+        self.rank_of = array("q", [-1])
+        self.parent_of = array("q", [0])
         self._event_node = array("q")
         self._event_leaf = array("q")
         self._last: tuple[int, ...] = ()  # ranks of the last record inserted
         self._path: list[int] = []  # its nodes, root excluded
+        self.finalized = False
 
-    def finalize(self) -> None:
-        if self.finalized:
-            return
-        for field, column in zip((self.head_start, self.head_leaf, self.head_node,
-                                  self.head_count), reference_header(self)):
-            field.extend(column)
+    def finalize(self) -> SpatialTree:
         self.finalized = True
+        depth_of = [0] * len(self.rank_of)
+        for node in range(1, len(self.rank_of)):  # a parent precedes its children
+            up = self.parent_of[node]
+            depth_of[node] = depth_of[up] + 1 if up else 0
+        columns = (self.rank_of, self.parent_of, depth_of, *reference_header(self))
+        return SpatialTree(self.words, self.height, *map(np.array, columns))
 
 
 def sorted_records(cols: Columns, words: WordTable) -> list[tuple[tuple[int, ...], int]]:
@@ -273,13 +280,12 @@ def reference_insert(tree: ReferenceTree, ranks: Sequence[int], cell: int) -> No
     tree._event_leaf.extend([cell] * len(path))
 
 
-def reference_tree(cols: Columns, words: WordTable, height: int) -> ReferenceTree:
-    """The tree of ``cols`` built by the reference pass two, finalized."""
+def reference_tree(cols: Columns, words: WordTable, height: int) -> SpatialTree:
+    """The tree of ``cols`` built by the reference pass two."""
     tree = ReferenceTree(words, height)
     for ranks, leaf in sorted_records(cols, words):
         reference_insert(tree, ranks, leaf)
-    tree.finalize()
-    return tree
+    return tree.finalize()
 
 
 def reference_header(tree: ReferenceTree) -> tuple[array, array, array, array]:
@@ -360,16 +366,19 @@ def dump(tree: SpatialTree, name_of=None) -> str:
     return "\n".join(lines)
 
 
+TREE_ARRAYS = ("rank_of", "parent_of", "depth_of", "head_start", "head_leaf", "head_node",
+               "head_count")
+
+
 def tree_equal(a: SpatialTree, b: SpatialTree) -> bool:
-    """Structural equality: same shape, same (word, cell) header.
+    """Structural equality: same shape, same depths, same (word, cell)
+    header, all seven arrays compared by value.
 
     Nodes are numbered in depth-first order of the sorted records, so
     equal trees have equal arrays.
     """
     return (a.height == b.height and a.words.counts == b.words.counts
-            and a.rank_of == b.rank_of and a.parent_of == b.parent_of
-            and a.head_start == b.head_start and a.head_leaf == b.head_leaf
-            and a.head_node == b.head_node and a.head_count == b.head_count)
+            and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in TREE_ARRAYS))
 
 
 def check_mass_conservation(tree: SpatialTree, records, grid: Grid) -> None:
@@ -629,7 +638,7 @@ def reference_cells(tree: SpatialTree, sigmas) -> tuple[list[tuple[int, int, int
     found, header_entries = [], 0
     for r in range(len(tree.words) - 1, -1, -1):
         run = slice(start[r], start[r + 1])
-        leaves = tree.head_leaf[run]
+        leaves = tree.head_leaf[run].tolist()
         if not leaves:
             continue
         acc = [0, *accumulate(tree.head_count[run])]

@@ -164,6 +164,29 @@ def test_slices_below_sigma_never_build_a_base(monkeypatch):
     assert calls
 
 
+def test_a_rank_with_no_frequent_cell_builds_no_base(monkeypatch):
+    calls = []
+    build = spatial_mining.tree_from_weighted_paths
+
+    def spy(tids, size, rows):
+        calls.append(rows)
+        return build(tids, size, rows)
+
+    monkeypatch.setattr(spatial_mining, "tree_from_weighted_paths", spy)
+    # b's four records all lie below a, so they reach the floor of 2, but
+    # b counts 4 at the root, below 5, and 1 in each leaf cell, below 2.
+    points = [GeoPoint(1.0, 1.0), GeoPoint(3.0, 1.0), GeoPoint(1.0, 3.0), GeoPoint(3.0, 3.0)]
+    records = [GeoRecord(str(i), frozenset({A, B}), p) for i, p in enumerate(points)]
+    records += [GeoRecord(f"a{i}", frozenset({A}), points[0]) for i in range(2)]
+    sigmas = [5, 2]
+    tree = build_tree(records, min(sigmas), REF_GRID)
+    assert [r for r, _ in reference_bases(tree, min(sigmas))] == [tree.words.rank[B]]
+    got = patterns_to_dict(mine_patterns(tree, sigmas))
+    assert got == reference_patterns(records, REF_GRID, sigmas)
+    assert {words for words, *_ in got} == {frozenset({A})}
+    assert calls == []
+
+
 def test_sort_patterns_restores_canonical_order(ref_tree):
     patterns = mine_patterns(ref_tree, [2, 2])
     rank = ref_tree.words.rank
@@ -348,7 +371,7 @@ def test_frequent_cells_match_the_root_down_search(seed, shape):
     tree = build_tree(records, sigma, grid)
     sigmas = SIGMA_SHAPES[shape](grid.height, sigma)
     cells, header_entries = frequent_cells(tree, sigmas)
-    cells = list(cells)
+    cells = list(zip(*cells))
     want, want_entries = reference_cells(tree, sigmas)
     assert sorted(cells) == sorted(want) and len(cells) == len(want) > 0
     assert [r for r, *_ in cells] == sorted(r for r, *_ in cells)
@@ -364,7 +387,7 @@ def test_array_bases_match_the_path_reference(seed, shape, chunk, monkeypatch):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
     floor = min(SIGMA_SHAPES[shape](grid.height, sigma))
-    got = list(conditional_bases(tree, floor))
+    got = list(conditional_bases(tree, floor, range(len(tree.words))))
     assert got == reference_bases(tree, floor) and got
     for r, base in got:
         # Each item's support is its summed weight in the merged paths.
@@ -389,7 +412,7 @@ def test_a_heavy_rank_sets_its_bits_without_a_temporary_per_bit(monkeypatch):
     tree = build_tree(records, 2, REF_GRID)
     tracemalloc.start()
     try:
-        got = list(conditional_bases(tree, 2))
+        got = list(conditional_bases(tree, 2, range(len(tree.words))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

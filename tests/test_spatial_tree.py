@@ -19,7 +19,6 @@ from helpers import (
     check_header_consistency,
     check_mass_conservation,
     check_prefix_order,
-    cell_conditional_tree,
     columns_of,
     dump,
     fuzz_instance,
@@ -35,12 +34,11 @@ from helpers import (
     tree_equal,
 )
 from spatialfp.errors import PointOutOfBounds
-from spatialfp.grid import MAX_HEIGHT, BoundingBox, GeoPoint, Gid, Grid, encode
+from spatialfp.grid import MAX_HEIGHT, BoundingBox, GeoPoint, Grid, encode
 from spatialfp.oracle import reference_patterns
-from spatialfp.spatial_mining import mine_tree, patterns_to_dict
+from spatialfp.spatial_mining import patterns_to_dict
 from spatialfp.spatial_tree import (
     ScanStats,
-    SpatialTree,
     WordTable,
     insert_record,
     scan_counts,
@@ -152,8 +150,7 @@ def test_insert_record_rejects_unsorted_and_unknown():
     with pytest.raises(ValueError):
         reference_insert(tree, (0,), 4)  # no such leaf at height 1
     reference_insert(tree, (0, 1), 0)  # the rejected records left no trace
-    tree.finalize()
-    assert list(tree.rank_of) == [-1, 0, 1]
+    assert list(tree.finalize().rank_of) == [-1, 0, 1]
 
 
 def test_insert_record_rejects_records_out_of_order():
@@ -171,32 +168,20 @@ def test_insert_record_accepts_repeated_and_extended_records():
     tree = _empty_ref_tree()
     for ranks, cell in [((0,), 1), ((0, 1), 0), ((0, 1), 0), ((0, 1), 1), ((1,), 1), ((), 1)]:
         reference_insert(tree, ranks, cell)
-    tree.finalize()
+    tree = tree.finalize()
     assert list(tree.rank_of) == [-1, 0, 1, 1]
+    assert list(tree.depth_of) == [0, 0, 1, 0]
     assert node_cells(tree, 1) == {0: 2, 1: 2}
     assert node_cells(tree, 2) == {0: 2, 1: 1}
     assert node_cells(tree, 3) == {1: 1}
 
 
-def test_unfinalized_tree_cannot_be_read_and_finalized_cannot_grow():
+def test_finalized_reference_tree_cannot_grow():
     tree = _empty_ref_tree()
     reference_insert(tree, (0, 1), 0)
-    with pytest.raises(RuntimeError):
-        tree.nodes_of(A)
-    with pytest.raises(RuntimeError):
-        mine_tree(tree, [2, 2])
-    with pytest.raises(RuntimeError):
-        cell_conditional_tree(tree, B, Gid(0, 0), 2)
-    words, cols = scan_counts(reference_records(), 2, REF_GRID)
-    with pytest.raises(RuntimeError):
-        mine_tree(SpatialTree(words, REF_GRID.height), [2, 2])  # never built
     tree.finalize()
     with pytest.raises(RuntimeError):
         reference_insert(tree, (0, 1), 0)
-    built = SpatialTree(words, REF_GRID.height)
-    insert_record(built, cols)
-    with pytest.raises(RuntimeError):
-        insert_record(built, cols)  # the array build runs once per tree
 
 
 @given(st.sampled_from([0, 1, 8, 9, 16, 17, MAX_HEIGHT]), st.data())
@@ -217,9 +202,7 @@ def test_array_header_matches_the_reference_loop(height, data):
     if records:
         records += data.draw(st.lists(st.sampled_from(records), max_size=10))
     cols = columns_of(data.draw(st.permutations(records)))
-    tree = SpatialTree(words, height)
-    insert_record(tree, cols)
-    assert tree_equal(tree, reference_tree(cols, words, height))
+    assert tree_equal(insert_record(words, cols, height), reference_tree(cols, words, height))
 
 
 def test_a_long_record_builds_in_time_and_memory_linear_in_entries():
@@ -243,7 +226,7 @@ def test_a_long_record_builds_in_time_and_memory_linear_in_entries():
         return time.perf_counter() - t
 
     def array_build():
-        insert_record(SpatialTree(words, 5), cols)
+        insert_record(words, cols, 5)
 
     # Min of three rounds, alternating: the array build must take less
     # than half the time of the reference's loop over the records (about
@@ -257,8 +240,7 @@ def test_a_long_record_builds_in_time_and_memory_linear_in_entries():
     gc.collect()
     tracemalloc.start()
     try:
-        tree = SpatialTree(words, 5)
-        insert_record(tree, cols)
+        tree = insert_record(words, cols, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
