@@ -67,7 +67,7 @@ def _parse_sigmas(s: str, height: int) -> list[int]:
 
 
 def _load_stopwords(args) -> frozenset[str]:
-    if getattr(args, "stopwords", None):
+    if args.stopwords:
         try:
             return load_stopwords(args.stopwords)
         except UnicodeDecodeError:
@@ -322,10 +322,7 @@ def main(argv=None) -> int:
     except _Abort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SpatialFpError as exc:
+    except (OSError, SpatialFpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

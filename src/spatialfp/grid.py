@@ -11,6 +11,7 @@ it. Level 0 is the whole box, level ``height`` are the leaf cells.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,8 +61,20 @@ class Grid:
     height: int
 
     def __post_init__(self):
+        object.__setattr__(self, "height", as_int(self.height, "grid height"))
         if not 0 <= self.height <= MAX_HEIGHT:
             raise ValueError(f"grid height must be in [0, {MAX_HEIGHT}], got {self.height}")
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int through ``operator.index``, so that numpy
+    integers pass and floats fail; a bool is refused too."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def _spread_bits(v: int) -> int:

@@ -1,8 +1,8 @@
 """Brute-force reference miner used to verify the tree-based miner.
 
 Deliberately independent: level-wise apriori over per-cell transaction
-lists, sharing no code with the fptree/spatial modules beyond leaf cell
-encoding. Intended for small instances only.
+lists, sharing no code with the spatial_tree, spatial_mining and engine
+modules beyond leaf cell encoding. Intended for small instances only.
 """
 
 from __future__ import annotations

@@ -1,21 +1,24 @@
-"""Multi-level mining over the cell-annotated prefix tree, in rank space.
+"""Multi-level SFP-growth over the cell-annotated prefix tree, in rank space.
 
-As in the paper's SFP-growth, the SFP-tree is built once, and each
-frequent (word, cell) gets exactly its non-spatial conditional base,
-with no record rescans; only the miner inside a base is a vertical
-(Eclat) search, one bit per record, in ``fptree``. A rank's run of the
-tree's (word, cell) header, in leaf order, makes the word's one vertical
-base; quad-tree cells nest, so any cell is one leaf-code range of both.
-Three steps are numpy array operations, each done once for all ranks:
-``frequent_cells`` lists every frequent (rank, cell) by one split of all
-runs per level, and ``conditional_bases`` sets the bits of the bases of
-the ranks with a frequent cell from one walk of the header entries'
-ancestors per run of ranks. Python keeps
-only the per-cell slice of a base and the growth inside it. Every
-pattern is one int row (see ``row_layout``), appended at the cell where
-it reached the threshold, with its exact per-cell support, to the list
-of its (level, cell, size); ``canonical`` sorts each list, plain ints,
-into a block of the ``Patterns`` result.
+As in the paper, the SFP-tree is built once, and each frequent (word,
+cell) gets exactly its non-spatial conditional base, with no record
+rescans; only the miner inside a base is a vertical search (Eclat, Zaki,
+TKDE 2000) over int tidsets, one bit per record. A rank's run of the
+tree's (word, cell) header, in leaf order, makes the word's one base;
+quad-tree cells nest, so any cell is one range of the run and one bit
+range of the base. The frequent cells and the bases are numpy array
+operations over all ranks; Python keeps only the per-cell slice of a
+base and the growth inside it. Siblings stay in descending item order,
+set once when a base is built, so that each extension adds an item
+smaller than those it joins: growth packs an itemset into one int by
+placing each new item one slot above the last, and sorts nothing.
+``canonical`` sorts each (level, cell, size) list of pattern rows (see
+``row_layout``) into a block of the ``Patterns`` result.
+
+The benchmark's tracer times base builds and growth by replacing
+``tree_from_weighted_paths`` and ``fp_growth`` among this module's
+attributes, so they keep the FP-tree miner's names (ROADMAP item 1) and
+are looked up as globals where they are called.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .fptree import Base, cell_base, fp_growth, tree_from_weighted_paths
-from .grid import Gid
+from .grid import Gid, as_int
 from .spatial_tree import SpatialTree, WordTable
 
 
@@ -39,21 +41,22 @@ class SpatialPattern(NamedTuple):
 
 def expand_sigmas(sigma: int | Sequence[int], height: int) -> list[int]:
     """Normalize sigma to a per-level list indexed 0 (root) .. height (leaf)."""
-    if isinstance(sigma, int):
-        sigmas = [sigma] * (height + 1)
-    else:
+    try:
         sigmas = list(sigma)
-        if len(sigmas) == 1:
-            sigmas = sigmas * (height + 1)
-        elif len(sigmas) != height + 1:
-            raise ValueError(
-                f"need one sigma or {height + 1} per-level values, got {len(sigmas)}")
+    except TypeError:  # one value for every level
+        sigmas = [sigma]
+    sigmas = [as_int(s, "sigma") for s in sigmas]
+    if len(sigmas) == 1:
+        sigmas *= height + 1
+    elif len(sigmas) != height + 1:
+        raise ValueError(f"need one sigma or {height + 1} per-level values, got {len(sigmas)}")
     if any(s < 1 for s in sigmas):
         raise ValueError("every sigma must be >= 1")
     return sigmas
 
 
 CellRows = dict[tuple[int, int], list[list[int]]]  # (level, code) -> rows per size, 1 first
+Base = list[tuple[int, int, int]]  # (item, tidset, support), descending item
 
 
 def row_layout(words: WordTable) -> tuple[int, int]:
@@ -260,6 +263,52 @@ def _chunk_bases(np, ranks, start, node, count, parent, rank_of, acc, floor):
     tids = memoryview(buf)
     for i, (r, n) in enumerate(zip(ranks.tolist(), size.tolist())):
         yield r, tree_from_weighted_paths(tids, n, rows[cuts[i]:cuts[i + 1]])
+
+
+def tree_from_weighted_paths(tids, size: int,
+                             rows: Iterable[tuple[int, int, int]]) -> Base:
+    """The base whose items are ``rows``, each ``(item, at, support)``
+    in descending item order, with the ``size`` bytes of ``tids`` from
+    ``at`` on as its tidset, least significant byte first."""
+    return [(item, int.from_bytes(tids[at:at + size], "little"), support)
+            for item, at, support in rows]
+
+
+def cell_base(base: Base, lo: int, hi: int, minsup: int) -> Base:
+    """The base of records ``[lo, hi)`` of ``base``, renumbered from 0,
+    keeping the items whose support there reaches ``minsup``, in order."""
+    mask = (1 << (hi - lo)) - 1
+    # No item's support in the cell exceeds its support in the base.
+    return [(item, bits, support) for item, tids, total in base if total >= minsup
+            and (support := (bits := tids >> lo & mask).bit_count()) >= minsup]
+
+
+def fp_growth(base: Base, minsup: int, key: int, shift: int,
+              width: int) -> list[list[int]]:
+    """All itemsets with support >= minsup, each joined to the suffix
+    ``key`` as one int: its items packed ``width`` bits apart from bit
+    ``shift`` up, the smallest item highest, OR'ed with its exact support,
+    for which the caller keeps the bits below ``key`` and ``shift`` free.
+    List ``k`` holds the itemsets of ``k + 1`` items; each appears once."""
+    if minsup < 1:
+        raise ValueError(f"minsup must be >= 1, got {minsup}")
+    out: list[list[int]] = []
+
+    def walk(key: int, shift: int, depth: int, siblings: Base) -> None:
+        if depth == len(out):
+            out.append([])
+        rows = out[depth]
+        for i, (item, tids, support) in enumerate(siblings):
+            grown = item << shift | key
+            rows.append(grown | support)
+            ext = [(other, both, n) for other, other_tids, _ in siblings[i + 1:]
+                   if (n := (both := tids & other_tids).bit_count()) >= minsup]
+            if ext:
+                walk(grown, shift + width, depth + 1, ext)
+
+    if base:
+        walk(key, shift, 0, base)
+    return out
 
 
 class Patterns(Sequence[SpatialPattern]):

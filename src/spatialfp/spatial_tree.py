@@ -141,7 +141,7 @@ def insert_record(words: WordTable, cols: Columns, height: int) -> SpatialTree:
     shares the nodes of its common prefix with the record before it;
     each entry past that prefix is a new node, numbered in entry order,
     which is depth-first order. Records left with no retained word add
-    nothing.
+    nothing; a record that repeats a retained word is refused.
     """
     import numpy as np
 
@@ -160,6 +160,8 @@ def insert_record(words: WordTable, cols: Columns, height: int) -> SpatialTree:
     key += rank[keep]
     del rank, keep
     key.sort()
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("a record repeats a word id")
     rank = (key % len(words)).astype(np.int32)
     del key
     # The records that keep a word, ordered by their rank tuples: big-endian

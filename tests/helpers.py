@@ -16,10 +16,9 @@ import numpy as np
 from spatialfp.datagen import GenConfig, PlantedPattern, generate
 from spatialfp.errors import InvalidLevel, PointOutOfBounds, SpatialFpError
 from spatialfp.formats import MalformedRecord
-from spatialfp.fptree import fp_growth
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode, gid_str
-from spatialfp.spatial_mining import (CellRows, Patterns, SpatialPattern, canonical, mine_tree,
-                                      row_layout)
+from spatialfp.spatial_mining import (CellRows, Patterns, SpatialPattern, canonical, fp_growth,
+                                      mine_tree, row_layout)
 from spatialfp.spatial_tree import (Columns, ScanStats, SpatialTree, WordTable, insert_record,
                                    scan_counts)
 from spatialfp.text import GeoRecord, Vocabulary, tokenize
@@ -494,7 +493,7 @@ def check_no_duplicates(patterns) -> None:
 
 # --- reference growth over {path: weight} bases ------------------------------
 #
-# The horizontal miner ``fptree`` had before its vertical one, kept as the
+# The horizontal miner that growth used before its vertical one, kept as the
 # differential reference. A base is a ``{path: weight}`` dict: equal
 # paths merged, items below the minimum support dropped. Growth takes,
 # for each item of a base, the prefixes in front of it as the item's own
@@ -531,9 +530,10 @@ def path_base(paths: Sequence[tuple[tuple[int, ...], int]], minsup: int) -> Base
 def bit_base(paths: Sequence[tuple[tuple[int, ...], int]],
              minsup: int) -> list[tuple[int, int, int]]:
     """The vertical base of (path, weight) pairs in one order, as
-    ``fptree`` uses it: pair ``i`` as the ``weight`` bits after those of
-    the pairs before it, items whose summed weight misses ``minsup``
-    dropped, ``(item, tidset, support)`` in descending item order."""
+    ``spatial_mining`` uses it: pair ``i`` as the ``weight`` bits after
+    those of the pairs before it, items whose summed weight misses
+    ``minsup`` dropped, ``(item, tidset, support)`` in descending item
+    order."""
     totals: dict[int, int] = {}
     for path, weight in paths:
         if weight <= 0:
@@ -804,7 +804,7 @@ def build_fp_tree(transactions, minsup: int) -> Base:
 
 
 def growth_pairs(base: list[tuple[int, int, int]], minsup: int) -> list[tuple[tuple[int, ...], int]]:
-    """``fptree.fp_growth`` on an empty suffix, its rows unpacked into
+    """``spatial_mining.fp_growth`` on an empty suffix, its rows unpacked into
     (items, support) pairs, items ascending, by size. Items below 2**16
     and supports below 2**48 fit."""
     return [unpack_row(row, k + 1, 16, 48)

@@ -125,3 +125,15 @@ def test_edge_inputs_mine_cleanly(case):
         summary[key] for key in ("records read", "skipped out-of-box", "records mined",
                                  "distinct words", "retained words", "word-cell entries",
                                  "patterns total"))
+
+
+def test_a_record_that_repeats_a_word_id_is_refused():
+    p = GeoPoint(1.0, 1.0)
+    grid = Grid(BoundingBox(0.0, 0.0, 4.0, 4.0), 1)
+    with pytest.raises(ValueError, match="repeats a word id"):
+        engine.mine([GeoRecord("a", [1, 1, 2], p), GeoRecord("b", [1, 2], p)], 2, grid)
+    # A repeated word that pass one drops cannot change the result.
+    more = [GeoRecord("b", [1, 2], p), GeoRecord("c", [1, 2], p)]
+    got, _ = engine.mine([GeoRecord("a", [1, 2, 3, 3], p), *more], 3, grid)
+    want, _ = engine.mine([GeoRecord("a", [1, 2], p), *more], 3, grid)
+    assert got == want and len(got) == 6

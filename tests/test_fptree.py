@@ -21,7 +21,7 @@ from helpers import (
     path_growth,
     powerset_counts,
 )
-from spatialfp.fptree import cell_base, tree_from_weighted_paths
+from spatialfp.spatial_mining import cell_base, tree_from_weighted_paths
 
 
 def mine(paths, minsup):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,11 @@ def test_grid_height_range():
         Grid(BOX, -1)
     with pytest.raises(ValueError):
         Grid(BOX, MAX_HEIGHT + 1)
+    # numpy integers are integers; floats and bools are refused.
+    assert type(Grid(BOX, np.int64(2)).height) is int
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(TypeError, match="grid height must be an integer"):
+            Grid(BOX, bad)
 
 
 @pytest.mark.parametrize("point,code", [

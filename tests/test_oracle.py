@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,3 +110,21 @@ def test_reference_patterns_three_level_grid():
     for level in range(4):
         assert got[(frozenset({A, B}), level, 0)] == 3
     assert len(got) == 12
+
+
+def test_the_oracle_loads_no_miner_module():
+    # The package's __init__ imports the miner, so the probe stands in a
+    # bare package for it and sees only what ``oracle`` itself loads.
+    code = """if True:
+        import importlib.util, sys, types
+        pkg = types.ModuleType("spatialfp")
+        pkg.__path__ = importlib.util.find_spec("spatialfp").submodule_search_locations
+        sys.modules["spatialfp"] = pkg
+        import spatialfp.oracle
+        print(" ".join(sorted(m for m in sys.modules if m.startswith("spatialfp."))))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "spatialfp.oracle" in loaded
+    assert not loaded & {"spatialfp.spatial_tree", "spatialfp.spatial_mining", "spatialfp.engine"}

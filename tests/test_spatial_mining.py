@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,11 @@ def test_expand_sigmas():
         expand_sigmas([2, 3], 2)
     with pytest.raises(ValueError):
         expand_sigmas(0, 1)
+    # numpy integers are integers; floats and bools are refused.
+    assert expand_sigmas(np.int64(3), 2) == [3, 3, 3]
+    for bad in ([2.5], 2.5, True, [True], [2, 3.0, 5]):
+        with pytest.raises(TypeError, match="sigma must be an integer"):
+            expand_sigmas(bad, 2)
 
 
 def test_level_table_aggregates_and_filters(ref_tree):
