@@ -1,9 +1,9 @@
 """End-to-end mining pipeline: pass one, the array-built tree, growth.
 
 Pass two is one call that builds and returns the flat-array
-``SpatialTree`` from pass one's columns; ``mine_tree`` emits int rows in
-one list per (level, cell, size), which ``canonical`` sorts into the
-blocks of the ``Patterns`` result.
+``SpatialTree`` from pass one's columns; ``mine_tree`` emits one matrix
+of ranks per pattern size, with level, cell and count columns, which
+``canonical`` sorts into the blocks of the ``Patterns`` result.
 """
 
 from __future__ import annotations
@@ -84,6 +84,6 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     report.first_scan_ms = (t1 - t0) * 1000.0
     report.tree_build_ms = (t2 - t1) * 1000.0
     report.growth_ms = (t3 - t2) * 1000.0
-    for level, _, _, rows in patterns.blocks:
-        report.patterns_by_level[level] = report.patterns_by_level.get(level, 0) + len(rows)
+    for level, _, _, n in patterns.blocks:
+        report.patterns_by_level[level] = report.patterns_by_level.get(level, 0) + n
     return patterns, report

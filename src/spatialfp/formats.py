@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .grid import GeoPoint, Gid, gid_str
@@ -138,17 +139,24 @@ def write_corpus(path: str, records: Iterable[GeoRecord],
 def write_patterns(path: str, patterns: Patterns, vocab: Vocabulary) -> None:
     """One JSON object per pattern, as ``json.dumps(..., ensure_ascii=False)``
     writes it, the words in canonical order (descending global frequency,
-    then id) straight from the row's ranks, each word rendered once."""
-    frags = [json.dumps(vocab.word(w), ensure_ascii=False) for w in patterns.words.order]
-    cell = None
+    then id) straight from the pattern's ranks, each word rendered once."""
+    import numpy as np
+
+    frags = np.array([json.dumps(vocab.word(w), ensure_ascii=False)
+                      for w in patterns.words.order], object)
+    rows = [patterns.rows(size, frags, ", ".join) for size in range(1, len(patterns.sizes) + 1)]
+    cell, lines = None, []
     with open(path, "w", encoding="utf-8") as fh:
-        for level, code, size, rows in patterns.blocks:
+        for level, code, size, n in patterns.blocks:
             if cell != (level, code):
                 cell = (level, code)
                 head = f'"gid": "{gid_str(Gid(level, code))}", "level": {level}'
-            # One write per slice of rows: fewer calls, and no whole
-            # block's text held at once.
-            for lo in range(0, len(rows), 4096):
-                lines = [f'{{"words": [{", ".join(words)}], {head}, "count": {count}}}\n'
-                         for words, count in patterns.decode(size, rows[lo:lo + 4096], frags)]
-                fh.write("".join(lines))
+            # One write per 4096 lines or more: few calls, and no more
+            # than a slice of a block's text held at once.
+            for take in range(n, 0, -4096):
+                lines += [f'{{"words": [{words}], {head}, "count": {count}}}\n'
+                          for words, count in islice(rows[size - 1], min(take, 4096))]
+                if len(lines) >= 4096:
+                    fh.write("".join(lines))
+                    lines.clear()
+        fh.write("".join(lines))

@@ -21,7 +21,8 @@ PatternKey = tuple[frozenset[int], int, int]
 
 def group_by_cell(records: Iterable[GeoRecord], grid: Grid,
                   level: int) -> dict[int, list[frozenset[int]]]:
-    """Wordsets bucketed by their level-``level`` cell; out-of-box records skipped."""
+    """Wordsets, as frozensets of any iterable ``words``, bucketed by
+    their level-``level`` cell; out-of-box records skipped."""
     shift = 2 * (grid.height - level)
     out: dict[int, list[frozenset[int]]] = {}
     for rec in records:
@@ -29,7 +30,7 @@ def group_by_cell(records: Iterable[GeoRecord], grid: Grid,
             leaf = encode(rec.point, grid)
         except PointOutOfBounds:
             continue
-        out.setdefault(leaf.code >> shift, []).append(rec.words)
+        out.setdefault(leaf.code >> shift, []).append(frozenset(rec.words))
     return out
 
 

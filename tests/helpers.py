@@ -17,8 +17,8 @@ from spatialfp.datagen import GenConfig, PlantedPattern, generate
 from spatialfp.errors import InvalidLevel, PointOutOfBounds, SpatialFpError
 from spatialfp.formats import MalformedRecord
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode, gid_str
-from spatialfp.spatial_mining import (CellRows, Patterns, SpatialPattern, canonical, fp_growth,
-                                      mine_tree, row_layout)
+from spatialfp.spatial_mining import (Bases, Found, Patterns, SpatialPattern, canonical,
+                                      fp_growth, mine_tree, tree_from_weighted_paths)
 from spatialfp.spatial_tree import (Columns, ScanStats, SpatialTree, WordTable, insert_record,
                                    scan_counts)
 from spatialfp.text import GeoRecord, Vocabulary, tokenize
@@ -445,7 +445,8 @@ def check_header_consistency(tree: SpatialTree, records, grid: Grid) -> None:
     want = record_cell_counts(records, grid, tree.words)
     assert tree_cell_totals(tree) == want
     # Above every count, mining visits only the root cell of each word.
-    assert mine_tree(tree, [len(records) + 1] * (tree.height + 1)) == ({}, len(want))
+    raw, header_entries = mine_tree(tree, [len(records) + 1] * (tree.height + 1))
+    assert found_tuples(raw) == [] and header_entries == len(want)
     for wid in tree.words.order:
         nodes = tree.nodes_of(wid)
         assert len(nodes) == len(set(nodes)), wid
@@ -677,67 +678,94 @@ def canonical_patterns(raw, words: WordTable) -> list[SpatialPattern]:
     return out
 
 
-# --- pattern rows, packed and unpacked by their own arithmetic -------------
-#
-# A row is ``packed << cbits | count``, ``packed`` the ranks ascending,
-# ``width`` bits each, the smallest in the most significant slot.
+# --- pattern columns, built and read back one pattern at a time -------------
 
 
-def pack_row(ranks, count: int, width: int, cbits: int) -> int:
-    assert 0 <= count < 1 << cbits and all(0 <= r < 1 << width for r in ranks)
-    packed = 0
-    for r in sorted(ranks):
-        packed = packed << width | r
-    return packed << cbits | count
-
-
-def unpack_row(row: int, size: int, width: int, cbits: int) -> tuple[tuple[int, ...], int]:
-    """(ranks ascending, count) of a row of ``size`` ranks."""
-    count, packed = row & ((1 << cbits) - 1), row >> cbits
-    ranks = []
-    for _ in range(size):
-        ranks.append(packed & ((1 << width) - 1))
-        packed >>= width
-    assert packed == 0, row
-    return tuple(reversed(ranks)), count
-
-
-def pack_rows(raw, words: WordTable) -> CellRows:
+def found_columns(raw) -> Found:
     """``(ranks, level, code, count)`` tuples, ranks in any order, as
-    ``mine_tree`` returns them: one list of rows per (level, cell, size)."""
-    width, cbits = row_layout(words)
-    out: CellRows = {}
-    for ranks, level, code, count in raw:
-        lists = out.setdefault((level, code), [])
-        while len(lists) < len(ranks):
-            lists.append([])
-        lists[len(ranks) - 1].append(pack_row(ranks, count, width, cbits))
-    return out
+    ``mine_tree`` returns them: per size, ranks ascending in one row per
+    pattern, each column of the narrowest unsigned type that holds it."""
+    def narrow(values, shape):
+        values = np.array(values, np.uint64).reshape(shape)
+        return values.astype(np.min_scalar_type(values.max(initial=0)))
 
-
-def unpack_rows(raw: CellRows, words: WordTable) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """``mine_tree``'s rows as ``(ranks, level, code, count)`` tuples."""
-    width, cbits = row_layout(words)
     out = []
-    for (level, code), lists in raw.items():
-        for size, rows in enumerate(lists, 1):
-            for row in rows:
-                ranks, count = unpack_row(row, size, width, cbits)
-                out.append((ranks, level, code, count))
+    for size in range(1, max((len(ranks) for ranks, *_ in raw), default=1) + 1):
+        rows = [(sorted(ranks), *rest) for ranks, *rest in raw if len(ranks) == size]
+        ranks, level, code, count = zip(*rows) if rows else ((),) * 4
+        out.append((narrow(ranks, (len(rows), size)),
+                    *(narrow(column, len(rows)) for column in (level, code, count))))
     return out
+
+
+def found_tuples(found: Found) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """``mine_tree``'s columns as ``(ranks, level, code, count)`` tuples."""
+    return [(tuple(ranks), level, code, count) for columns in found
+            for ranks, level, code, count in zip(*(c.tolist() for c in columns))]
 
 
 def as_result(patterns, words: WordTable) -> Patterns:
     """Pattern objects as the blocks of a ``Patterns`` result, in the
     order given, for feeding the writer hand-made input."""
-    width, cbits = row_layout(words)
     rank, blocks = words.rank, []
+    sizes = [([], []) for _ in range(max((len(p.words) for p in patterns), default=0))]
     for p in patterns:
         head = (p.gid.level, p.gid.code, len(p.words))
         if not blocks or blocks[-1][:3] != head:
-            blocks.append((*head, []))
-        blocks[-1][3].append(pack_row([rank[w] for w in p.words], p.count, width, cbits))
-    return Patterns(blocks, words)
+            blocks.append((*head, 0))
+        blocks[-1] = (*head, blocks[-1][3] + 1)
+        sizes[len(p.words) - 1][0].append(sorted(rank[w] for w in p.words))
+        sizes[len(p.words) - 1][1].append(p.count)
+    return Patterns([(np.array(ranks, np.int64).reshape(len(counts), size),
+                      np.array(counts, np.int64))
+                     for size, (ranks, counts) in enumerate(sizes, 1)], blocks, words)
+
+
+def bases_as_ints(chunks) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """``conditional_bases``' chunks as ``(rank, base)`` pairs, ascending,
+    each base ``(item, tidset, support)`` in its order, every tidset one
+    int read from the chunk's words, least significant first."""
+    out = []
+    for bases in chunks:
+        ends = [*bases.at.tolist()[1:], len(bases.bits)]
+        groups = list(zip(bases.rank.tolist(), bases.item.tolist(), bases.at.tolist(), ends,
+                          bases.total.tolist()))
+        for r in bases.ranks.tolist():
+            out.append((r, [(item, int.from_bytes(bases.bits[at:end].tobytes(), "little"), total)
+                            for rank, item, at, end, total in groups if rank == r]))
+    return out
+
+
+def grow_cells(base: list[tuple[int, int, int]],
+               cells: Sequence[tuple[int, int, int]]) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Every itemset of ``base`` (a ``bit_base`` of items below 2**16 - 1)
+    frequent in each of ``cells``, ``(lo, hi, minsup)``: bits ``[lo,
+    hi)`` of the base and their threshold. The base is one chunk of one
+    rank above its items, and ``tree_from_weighted_paths`` and
+    ``fp_growth`` run on it as ``mine_tree`` runs them. One list per
+    cell of (items ascending, support) pairs, by size."""
+    top = 2 ** 16 - 1
+    span = max([(hi + 63) >> 6 for _, hi, _ in cells]
+               + [(tids.bit_length() + 63) >> 6 for _, tids, _ in base])
+    bits = np.zeros(len(base) * span + 1, np.uint64)
+    for g, (_, tids, _) in enumerate(base):
+        bits[g * span:(g + 1) * span] = np.frombuffer(tids.to_bytes(span * 8, "little"), "<u8")
+    bases = Bases(np.array([top]), np.full(len(base), top),
+                  np.array([item for item, _, _ in base], np.int64), np.arange(len(base)) * span,
+                  np.array([total for _, _, total in base], np.int64), bits)
+    # A cell of no records holds no pattern, and ``mine_tree`` makes none.
+    live = [i for i, (lo, hi, _) in enumerate(cells) if lo < hi]
+    lo, hi, sigma = (np.array([cells[i][k] for i in live], np.int64) for k in range(3))
+    members = tree_from_weighted_paths(bases, np.full(len(live), top, np.uint16), lo, hi, sigma)
+    out = [[] for _ in cells]
+    for cell, ranks, count, rows in members.values():
+        for level in [(ranks, cell, count), *fp_growth(rows, ranks, cell, sigma)]:
+            for items, c, n in zip(*(column.tolist() for column in level)):
+                assert items[-1] == top and items == sorted(items)
+                out[live[c]].append((tuple(items[:-1]), n))
+    for found in out:
+        found.sort(key=lambda pair: len(pair[0]))
+    return out
 
 
 def level_table(tree: SpatialTree, level: int, sigma: int) -> dict[tuple[int, int], int]:
@@ -804,11 +832,10 @@ def build_fp_tree(transactions, minsup: int) -> Base:
 
 
 def growth_pairs(base: list[tuple[int, int, int]], minsup: int) -> list[tuple[tuple[int, ...], int]]:
-    """``spatial_mining.fp_growth`` on an empty suffix, its rows unpacked into
-    (items, support) pairs, items ascending, by size. Items below 2**16
-    and supports below 2**48 fit."""
-    return [unpack_row(row, k + 1, 16, 48)
-            for k, rows in enumerate(fp_growth(base, minsup, 0, 48, 16)) for row in rows]
+    """``grow_cells`` over one cell of every bit of ``base``: (items,
+    support) pairs, items ascending, by size."""
+    hi = max((tids.bit_length() for _, tids, _ in base), default=0)
+    return grow_cells(base, [(0, hi, minsup)])[0]
 
 
 def as_supports(itemsets) -> dict[frozenset[int], int]:

@@ -1,6 +1,8 @@
 import random
-from itertools import accumulate
+import tracemalloc
+from itertools import accumulate, chain, repeat, starmap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +17,15 @@ from helpers import (
     as_supports,
     bit_base,
     build_fp_tree,
+    grow_cells,
     growth_pairs,
     ordered_paths,
     path_base,
     path_growth,
     powerset_counts,
 )
-from spatialfp.spatial_mining import cell_base, tree_from_weighted_paths
+from spatialfp import spatial_mining
+from spatialfp.spatial_mining import Bases, fp_growth, tree_from_weighted_paths
 
 
 def mine(paths, minsup):
@@ -79,12 +83,50 @@ def test_shared_prefixes_collapse():
 
 
 def test_packed_rows_become_a_base():
-    # Two tidsets of two bytes each, the second at byte 3 of the buffer;
-    # bytes run least significant first.
-    tids = memoryview(bytes([0b101, 0b1, 0xff, 0b10, 0b0]))
-    assert tree_from_weighted_paths(tids, 2, [(7, 0, 3), (2, 3, 1)]) == [
-        (7, 0b1_00000101, 3), (2, 0b10, 1)]
-    assert tree_from_weighted_paths(tids, 2, []) == []
+    # Rank 9's base: item 7 in words 0-1, item 2 in words 2-3. Each cell
+    # takes the words its bits [lo, hi) touch, the bits outside masked.
+    top = 1 << 63
+    bits = np.array([0b101 | top, 0b11, 0b10, top, 0], np.uint64)
+    bases = Bases(np.array([9]), np.array([9, 9]), np.array([7, 2]), np.array([0, 2]),
+                  np.array([5, 2]), bits)
+    lo, hi, sigma = np.array([1, 64, 0]), np.array([65, 128, 128]), np.array([2, 1, 3])
+    got = tree_from_weighted_paths(bases, np.array([9, 9, 9], np.uint16), lo, hi, sigma)
+    assert sorted(got) == [1, 2]
+    # Cell 0 (bits 1-64, sigma 2) keeps item 7 (3 bits) but not item 2 (1
+    # bit); cell 2 (all bits, sigma 3) drops item 2 by its total of 2.
+    cell, ranks, count, rows = got[2]
+    assert cell.tolist() == [0, 2] and ranks.tolist() == [[7, 9], [7, 9]]
+    assert count.tolist() == [3, 5] and rows.tolist() == [[0b100 | top, 0b1], [0b101 | top, 0b11]]
+    # Cell 1 (bits 64-127) is one word wide.
+    cell, ranks, count, rows = got[1]
+    assert cell.tolist() == [1, 1] and ranks.tolist() == [[7, 9], [2, 9]]
+    assert count.tolist() == [2, 1] and rows.tolist() == [[0b11], [top]]
+    assert ranks.dtype == np.uint16 and rows.dtype == np.uint64
+
+
+def test_cells_of_different_widths_share_a_bucket():
+    # Windows of 3 and 4 words grow in the bucket of 4, 5 and 8 in that of
+    # 8, each row padded with zero words.
+    paths = [((0, 1), 300), ((1, 2), 200), ((0, 1, 2), 100)]
+    base = bit_base(paths, 1)
+    cells = [(0, 192, 1), (0, 256, 1), (1, 300, 50), (64, 576, 1)]
+    lo, hi, sigma = (np.array(c) for c in zip(*cells))
+    rank = np.full(4, 9, np.uint16)
+    span = 10
+    bits = np.zeros(len(base) * span + 1, np.uint64)
+    for g, (_, tids, _) in enumerate(base):
+        bits[g * span:(g + 1) * span] = np.frombuffer(tids.to_bytes(span * 8, "little"), "<u8")
+    bases = Bases(np.array([9]), np.full(3, 9), np.array([2, 1, 0]), np.arange(3) * span,
+                  np.array([300, 600, 400]), bits)
+    got = tree_from_weighted_paths(bases, rank, lo, hi, sigma)
+    assert sorted(got) == [4, 8]
+    # Item 2 first occurs at record 300, so cells 0 and 1 drop it.
+    assert got[4][0].tolist() == [0, 0, 1, 1] and got[8][0].tolist() == [2, 2, 3, 3, 3]
+    assert not got[4][3][:2, 3].any() and not got[8][3][:2, 5:].any()
+    want = [path_growth(path_base([(path, 1) for path in records[lo:hi]], minsup), minsup)
+            for records in [list(chain.from_iterable(starmap(repeat, paths)))]
+            for lo, hi, minsup in cells]
+    assert [as_supports(found) for found in grow_cells(base, cells)] == want
 
 
 def test_weighted_paths_drop_everything_below_minsup():
@@ -168,8 +210,8 @@ def test_one_pair_of_many_records():
     assert [(item, tids.bit_count(), support) for item, tids, support in base] == [
         (2, 100_008, 100_008), (1, 100_005, 100_005), (0, 100_003, 100_003)]
     assert mine(paths, 4) == path_growth(path_base(paths, 4), 4)
-    cell = cell_base(base, 2, 100_006, 4)
-    assert as_supports(growth_pairs(cell, 4)) == path_growth(
+    [cell] = grow_cells(base, [(2, 100_006, 4)])
+    assert as_supports(cell) == path_growth(
         path_base([((0, 2), 1), ((0, 1, 2), 100_000), ((1, 2), 3)], 4), 4)
 
 
@@ -190,7 +232,59 @@ def test_cell_slices_match_the_path_reference(pairs, data):
             totals[item] = totals.get(item, 0) + weight
     minsup = data.draw(st.integers(min_value=1, max_value=max(totals.values(), default=0) + 1))
     floor = data.draw(st.integers(min_value=1, max_value=minsup))
-    cell = cell_base(bit_base(pairs, floor), at[lo], at[hi], minsup)
-    assert [item for item, _, _ in cell] == sorted((item for item, _, _ in cell), reverse=True)
-    assert as_supports(growth_pairs(cell, minsup)) == path_growth(path_base(pairs[lo:hi], minsup),
-                                                               minsup)
+    [cell] = grow_cells(bit_base(pairs, floor), [(at[lo], at[hi], minsup)])
+    assert as_supports(cell) == path_growth(path_base(pairs[lo:hi], minsup), minsup)
+    assert len(cell) == len(as_supports(cell))  # every itemset once, its items ascending
+
+
+# Cell ends a word boundary away, one bit past it, one bit before the
+# next and on it.
+ends = st.tuples(st.integers(min_value=0, max_value=12), st.sampled_from([0, 1, 63, 64]))
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 62])
+@given(weighted_paths, st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_cells_match_the_path_reference(chunk, paths, data):
+    # Many cells of one base at once, of widths up to 13 words, so that
+    # several share a bucket; each with its level's sigma. Candidates are
+    # made one word at a time, or every pair of a level at once.
+    paths = [(path, min(weight, 64)) for path, weight in paths]
+    records = list(chain.from_iterable(starmap(repeat, paths)))
+    sigmas = data.draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
+    cells = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
+        lo, hi = sorted(min(64 * word + bit, len(records)) for word, bit in
+                        (data.draw(ends), data.draw(ends)))
+        cells.append((lo, hi, sigmas[data.draw(st.integers(0, len(sigmas) - 1))]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial_mining, "CHUNK_WORDS", chunk)
+        got = grow_cells(bit_base(paths, min(sigmas)), cells)
+    for (lo, hi, minsup), found in zip(cells, got):
+        want = path_growth(path_base([(path, 1) for path in records[lo:hi] if path], minsup),
+                           minsup)
+        assert as_supports(found) == want and len(found) == len(want)
+
+
+def test_growth_temporaries_are_bounded_by_the_chunk(monkeypatch):
+    # 400 members of one cell, 16 words each: 79,800 candidate pairs, 10 MB
+    # of rows if a level's pairs were made at once. Members 0-5 share one
+    # record, so all 57 of their sets of two or more are frequent; no
+    # other member shares a record with any.
+    monkeypatch.setattr(spatial_mining, "CHUNK_WORDS", 1 << 12)
+    n, width = 400, 16
+    rows = np.zeros((n, width), np.uint64)
+    rows[np.arange(n), np.arange(n) % width] = np.uint64(1) << (np.arange(n) // width).astype(np.uint64)
+    rows[:6, 0] |= np.uint64(1) << np.uint64(63)
+    ranks = np.stack((np.arange(n, 0, -1), np.full(n, n + 1)), 1).astype(np.uint16)
+    cell, minsup = np.zeros(n, np.int64), np.array([1])
+    tracemalloc.start()
+    try:
+        grown = fp_growth(rows, ranks, cell, minsup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(found) for found, _, _ in grown] == [15, 20, 15, 6, 1]
+    assert all(found[:, 1:-1].min() >= n - 5 for found, _, _ in grown)
+    pairs = n * (n - 1) // 2
+    assert pairs * width * 8 > 10_000_000 and peak < 8 * spatial_mining.CHUNK_WORDS * 8

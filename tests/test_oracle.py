@@ -15,8 +15,10 @@ from helpers import (
     powerset_counts,
     reference_records,
 )
+from spatialfp.engine import mine
 from spatialfp.grid import BoundingBox, GeoPoint, Grid
 from spatialfp.oracle import apriori, compare, group_by_cell, reference_patterns
+from spatialfp.spatial_mining import patterns_to_dict
 from spatialfp.text import GeoRecord
 
 
@@ -128,3 +130,19 @@ def test_the_oracle_loads_no_miner_module():
     loaded = set(out.stdout.split())
     assert "spatialfp.oracle" in loaded
     assert not loaded & {"spatialfp.spatial_tree", "spatialfp.spatial_mining", "spatialfp.engine"}
+
+
+def test_words_of_any_collection_type_mine_alike():
+    # The miner takes a record's words from any iterable; so does the
+    # oracle, whatever order or collection they come in.
+    points = [GeoPoint(1.0, 1.0), GeoPoint(1.0, 1.0), GeoPoint(3.0, 3.0), GeoPoint(1.0, 3.0)]
+    wordsets = [[1, 2], [2, 1, 3], [3, 2], [1, 3, 2]]
+    results = []
+    for kind in (list, tuple, frozenset):
+        records = [GeoRecord(str(i), kind(words), p)
+                   for i, (words, p) in enumerate(zip(wordsets, points))]
+        got = reference_patterns(records, REF_GRID, [2, 2])
+        assert compare(patterns_to_dict(mine(records, [2, 2], REF_GRID)[0]), got).ok
+        results.append(got)
+    assert results[0] == results[1] == results[2]
+    assert results[0][(frozenset({1, 2, 3}), 0, 0)] == 2

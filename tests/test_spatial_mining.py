@@ -23,8 +23,10 @@ from helpers import (
     check_upward_closure,
     fuzz_instance,
     level_table,
+    bases_as_ints,
+    found_columns,
+    found_tuples,
     mine_patterns,
-    pack_rows,
     path_base,
     path_growth,
     rank_paths,
@@ -32,7 +34,6 @@ from helpers import (
     reference_cells,
     reference_records,
     reverse_entries,
-    unpack_rows,
 )
 from spatialfp import engine, spatial_mining
 from spatialfp.datagen import GenConfig, generate
@@ -46,7 +47,6 @@ from spatialfp.spatial_mining import (
     frequent_cells,
     mine_tree,
     patterns_to_dict,
-    row_layout,
 )
 from spatialfp.text import GeoRecord
 
@@ -109,14 +109,13 @@ def test_cell_conditional_tree_unknown_word(ref_tree):
 
 
 def test_mine_tree_reference_output(ref_tree):
-    # Rows pack ranks (a = 0, b = 1), one bit each, above two count bits,
-    # in one list per cell and size; a and b are each in both leaf
-    # cells, four header entries.
+    # One set of columns per size, ranks (a = 0, b = 1) ascending in each
+    # row, every column of the narrowest type; a and b are each in both
+    # leaf cells, four header entries.
     raw, header_entries = mine_tree(ref_tree, [2, 2])
-    assert {cell: [sorted(rows) for rows in lists] for cell, lists in raw.items()} == {
-        (0, 0): [[0b0_11, 0b1_11], [0b01_10]],
-        (1, 0b00): [[0b0_10, 0b1_10], [0b01_10]]}
-    assert sorted(unpack_rows(raw, ref_tree.words)) == [
+    assert [ranks.shape for ranks, *_ in raw] == [(4, 1), (2, 2)]
+    assert all(column.dtype == np.uint8 for columns in raw for column in columns)
+    assert sorted(found_tuples(raw)) == [
         ((0,), 0, 0, 3), ((0,), 1, 0b00, 2),
         ((0, 1), 0, 0, 2), ((0, 1), 1, 0b00, 2),
         ((1,), 0, 0, 3), ((1,), 1, 0b00, 2)]
@@ -143,9 +142,9 @@ def test_slices_below_sigma_never_build_a_base(monkeypatch):
     built = []
     build = spatial_mining.tree_from_weighted_paths
 
-    def spy(tids, size, rows):
-        built.append(build(tids, size, rows))
-        return built[-1]
+    def spy(bases, *cells):
+        built.append(bases)
+        return build(bases, *cells)
 
     monkeypatch.setattr(spatial_mining, "tree_from_weighted_paths", spy)
     # a and b occur three times each in one cell; b's one non-empty
@@ -165,7 +164,7 @@ def test_slices_below_sigma_never_build_a_base(monkeypatch):
         mine_patterns(tree, [sigma] * (grid.height + 1))
         # One base per rank whose records with a non-empty prefix path
         # reach sigma, and none for any other rank.
-        assert built == [base for _, base in reference_bases(tree, sigma)]
+        assert bases_as_ints(built) == reference_bases(tree, sigma)
         calls += len(built)
     assert calls
 
@@ -174,9 +173,9 @@ def test_a_rank_with_no_frequent_cell_builds_no_base(monkeypatch):
     calls = []
     build = spatial_mining.tree_from_weighted_paths
 
-    def spy(tids, size, rows):
-        calls.append(rows)
-        return build(tids, size, rows)
+    def spy(bases, *cells):
+        calls.append(bases)
+        return build(bases, *cells)
 
     monkeypatch.setattr(spatial_mining, "tree_from_weighted_paths", spy)
     # b's four records all lie below a, so they reach the floor of 2, but
@@ -196,12 +195,10 @@ def test_a_rank_with_no_frequent_cell_builds_no_base(monkeypatch):
 def test_sort_patterns_restores_canonical_order(ref_tree):
     patterns = mine_patterns(ref_tree, [2, 2])
     rank = ref_tree.words.rank
-    raw = pack_rows([(tuple(rank[w] for w in p.words), p.gid.level, p.gid.code, p.count)
-                     for p in patterns], ref_tree.words)
-    for lists in raw.values():
-        for rows in lists:
-            rows.reverse()
-    assert any(rows != sorted(rows) for lists in raw.values() for rows in lists)
+    raw = found_columns([(tuple(rank[w] for w in p.words), p.gid.level, p.gid.code, p.count)
+                         for p in patterns])
+    raw = [tuple(column[::-1] for column in columns) for columns in raw]
+    assert any(found_tuples([columns]) != sorted(found_tuples([columns])) for columns in raw)
     got = canonical(raw, ref_tree.words)
     assert got == patterns
     # One Gid object per cell, shared by its patterns.
@@ -209,10 +206,11 @@ def test_sort_patterns_restores_canonical_order(ref_tree):
 
 
 def _shuffled(raw, rnd):
-    for lists in raw.values():
-        for rows in lists:
-            rnd.shuffle(rows)
-    return raw
+    out = []
+    for columns in raw:
+        order = rnd.sample(range(len(columns[0])), len(columns[0]))
+        out.append(tuple(column[order] for column in columns))
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 5, 23])
@@ -221,7 +219,7 @@ def test_canonical_rows_match_the_object_reference(seed):
     tree = build_tree(records, sigma, grid)
     raw, _ = mine_tree(tree, [sigma] * (grid.height + 1))
     raw = _shuffled(raw, random.Random(seed))
-    want = canonical_patterns(unpack_rows(raw, tree.words), tree.words)
+    want = canonical_patterns(found_tuples(raw), tree.words)
     got = canonical(raw, tree.words)
     assert len(want) > 3
     assert list(got) == want and got == want and want == got
@@ -234,21 +232,21 @@ def test_canonical_rows_match_the_object_reference(seed):
     assert got != want[:-1]
     if seed == 23:
         # Slices crossing list boundaries, both ways, from every start.
-        sizes = [len(rows) for *_, rows in got.blocks]
+        sizes = [n for *_, n in got.blocks]
         assert len(sizes) > 4 and min(sizes) < 4
         for lo in range(len(want)):
             assert got[lo:lo + 5] == want[lo:lo + 5]
             assert got[lo::-3] == want[lo::-3]
 
 
-@given(st.integers(min_value=1, max_value=32), st.data())
+@given(st.integers(min_value=1, max_value=17), st.data())
 @settings(max_examples=120, deadline=None)
 def test_rows_at_the_layout_extremes_match_the_object_reference(width, data):
-    # A stand-in word table: ranks 0 .. 2**width - 1 name themselves, and
-    # the largest count sets the count bits.
+    # A stand-in word table: ranks 0 .. 2**width - 1 name themselves, so
+    # ranks take from one to four bytes; codes up to 62 bits and counts up
+    # to 2**40 take eight.
     top = data.draw(st.integers(min_value=1, max_value=2 ** 40))
-    words = SimpleNamespace(order=range(1 << width), counts={0: top})
-    assert row_layout(words) == (width, top.bit_length())
+    words = SimpleNamespace(order=range(1 << width))
     cells = data.draw(st.lists(
         st.integers(min_value=0, max_value=31).flatmap(
             lambda level: st.tuples(st.just(level), st.integers(0, 4 ** level - 1))),
@@ -261,7 +259,7 @@ def test_rows_at_the_layout_extremes_match_the_object_reference(width, data):
             raw[ranks, level, code] = data.draw(st.integers(min_value=1, max_value=top))
     raw = [(tuple(ranks), level, code, count) for (ranks, level, code), count in raw.items()]
     want = canonical_patterns(raw, words)
-    got = canonical(_shuffled(pack_rows(raw, words), random.Random(len(raw))), words)
+    got = canonical(_shuffled(found_columns(raw), random.Random(len(raw))), words)
     assert list(got) == want
     assert [got[i] for i in range(len(want))] == want
 
@@ -393,7 +391,7 @@ def test_array_bases_match_the_path_reference(seed, shape, chunk, monkeypatch):
     records, grid, sigma = fuzz_instance(seed)
     tree = build_tree(records, sigma, grid)
     floor = min(SIGMA_SHAPES[shape](grid.height, sigma))
-    got = list(conditional_bases(tree, floor, range(len(tree.words))))
+    got = bases_as_ints(conditional_bases(tree, floor, range(len(tree.words))))
     assert got == reference_bases(tree, floor) and got
     for r, base in got:
         # Each item's support is its summed weight in the merged paths.
@@ -418,11 +416,12 @@ def test_a_heavy_rank_sets_its_bits_without_a_temporary_per_bit(monkeypatch):
     tree = build_tree(records, 2, REF_GRID)
     tracemalloc.start()
     try:
-        got = list(conditional_bases(tree, 2, range(len(tree.words))))
+        chunks = list(conditional_bases(tree, 2, range(len(tree.words))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    got = bases_as_ints(chunks)
     assert got == reference_bases(tree, 2)
     bits = sum(tids.bit_length() for _, base in got for _, tids, _ in base)
-    # The packed buffer and the ints made from it, not bytes per bit.
+    # The packed buffers, not bytes per bit.
     assert bits > 40_000 and peak < bits
