@@ -8,6 +8,7 @@ words on top of background noise. Generation is deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigInvalid
@@ -42,10 +43,13 @@ def _validate(cfg: GenConfig, grid: Grid) -> None:
         raise ConfigInvalid(f"n_records must be >= 0, got {cfg.n_records}")
     if cfg.vocab_size < 1:
         raise ConfigInvalid(f"vocab_size must be >= 1, got {cfg.vocab_size}")
-    if cfg.words_per_record_mean <= 0:
-        raise ConfigInvalid("words_per_record_mean must be positive")
-    if cfg.zipf_exponent < 0:
-        raise ConfigInvalid("zipf_exponent must be >= 0")
+    if cfg.seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {cfg.seed}")
+    # A NaN fails both range tests below too.
+    if not 0 < cfg.words_per_record_mean < math.inf:
+        raise ConfigInvalid("words_per_record_mean must be positive and finite")
+    if not 0 <= cfg.zipf_exponent < math.inf:
+        raise ConfigInvalid("zipf_exponent must be finite and >= 0")
     total = 0
     for pat in cfg.planted:
         if not pat.words:

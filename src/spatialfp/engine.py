@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from .grid import Grid
 from .spatial_mining import Patterns, canonical, expand_sigmas, mine_tree
-from .spatial_tree import ScanStats, insert_record, scan_counts
+from .spatial_tree import insert_record, scan_counts
 from .text import GeoRecord
 
 
@@ -60,11 +60,11 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     """
     sigmas = expand_sigmas(sigma, grid.height)
     report = MineReport(backend=resolve_backend(backend))
-    stats = ScanStats()
     import numpy  # noqa: F401  (the header and the bases use it; imported before any timer)
 
     t0 = time.perf_counter()
-    words, cols = scan_counts(source, min(sigmas), grid, stats)
+    words, cols, report.records, report.skipped, report.distinct_words = scan_counts(
+        source, min(sigmas), grid)
     if after_scan is not None:
         after_scan()
     t1 = time.perf_counter()
@@ -76,10 +76,7 @@ def mine(source: Iterable[GeoRecord], sigma: int | Sequence[int], grid: Grid,
     patterns = canonical(raw, words)
     t3 = time.perf_counter()
 
-    report.records = stats.records
-    report.skipped = stats.skipped
-    report.mined = stats.records - stats.skipped
-    report.distinct_words = stats.distinct_words
+    report.mined = report.records - report.skipped
     report.retained_words = len(words)
     report.first_scan_ms = (t1 - t0) * 1000.0
     report.tree_build_ms = (t2 - t1) * 1000.0

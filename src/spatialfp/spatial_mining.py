@@ -66,13 +66,12 @@ Found = list[tuple["ndarray", "ndarray", "ndarray", "ndarray"]]
 class Bases(NamedTuple):
     """The bases of a chunk of ``ranks`` in one buffer of uint64 ``bits``:
     group ``g``, by rank, then item descending, holds item ``item[g]`` of
-    rank ``rank[g]``, ``total[g]`` records, as bits from word ``at[g]`` on."""
+    rank ``rank[g]``, its records as bits from word ``at[g]`` on."""
 
     ranks: ndarray
     rank: ndarray
     item: ndarray
     at: ndarray
-    total: ndarray
     bits: ndarray
 
 
@@ -245,7 +244,7 @@ def _chunk_bases(np, ranks, start, node, count, parent, rank_of, acc, floor) -> 
     kept = keep[group]
     slot = (np.cumsum(keep, dtype=np.int32) - 1)[group[kept]]  # each kept pair's group
     pe, weight = pe[kept], weight[kept]
-    key, totals = key[heads[keep]], totals[keep]
+    key = key[heads[keep]]
     owner = key // words
     nbytes = size[owner]
     at = np.cumsum(nbytes) - nbytes  # each kept group's first byte in ``buf``
@@ -267,26 +266,24 @@ def _chunk_bases(np, ranks, start, node, count, parent, rank_of, acc, floor) -> 
     a = np.concatenate((lo, hi[tail] & ~7))
     b = np.concatenate((np.minimum(hi, (lo | 7) + 1), hi[tail]))
     np.bitwise_or.at(buf, a >> 3, (((1 << (b - a)) - 1) << (a & 7)).astype(np.uint8))
-    return Bases(ranks, ranks[owner], words - 1 - key % words, at >> 3, totals, buf.view("<u8"))
+    return Bases(ranks, ranks[owner], words - 1 - key % words, at >> 3, buf.view("<u8"))
 
 
 def tree_from_weighted_paths(bases: Bases, rank: ndarray, lo: ndarray, hi: ndarray,
                              sigma: ndarray) -> dict[int, tuple[ndarray, ...]]:
     """The members of the cells ``(rank, lo, hi)`` of ``bases``' ranks,
     as ``{width: (cell, ranks, count, rows)}``, one bucket per window
-    width rounded up to a power of two. A member is an item whose total
-    in the base and count in cell ``i``'s records ``[lo, hi)`` reach
-    ``sigma[i]``; ``ranks`` is ``(item, rank)`` and ``rows`` the words
-    from ``lo >> 6`` on, the bits outside the cell masked off. A cell's
-    members are contiguous, items descending."""
+    width rounded up to a power of two. A member is an item whose count
+    in cell ``i``'s records ``[lo, hi)``, the popcount of its window,
+    reaches ``sigma[i]``; ``ranks`` is ``(item, rank)`` and ``rows`` the
+    words from ``lo >> 6`` on, the bits outside the cell masked off. A
+    cell's members are contiguous, items descending."""
     import numpy as np
 
     first = np.searchsorted(bases.rank, rank)
     n = np.searchsorted(bases.rank, rank, side="right") - first
     cell = np.repeat(np.arange(len(rank)), n)
     group = np.arange(len(cell)) + np.repeat(first - (np.cumsum(n) - n), n)
-    keep = bases.total[group] >= sigma[cell]
-    cell, group = cell[keep], group[keep]
     if not len(cell):
         return {}
     # Each (cell, item) pair's window of words, laid end to end.

@@ -29,15 +29,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class ScanStats:
-    """Counters filled while scanning a record source."""
-
-    records: int = 0        # records consumed, in-box or not
-    skipped: int = 0        # records outside the bounding box
-    distinct_words: int = 0  # words seen before frequency filtering
-
-
 class WordTable:
     """Retained words with their global counts and the global order.
 
@@ -97,13 +88,14 @@ class SpatialTree:
         return np.unique(self.head_node[run])
 
 
-def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
-                stats: ScanStats | None = None,
-                ) -> tuple[WordTable, Columns]:
+def scan_counts(records: Iterable[GeoRecord], sigma: int,
+                grid: Grid) -> tuple[WordTable, Columns, int, int, int]:
     """First pass: the one read of ``records``.
 
-    Returns the retained words (global count >= sigma) and the in-box
-    records as columns for pass two.
+    Returns the retained words (global count >= sigma), the in-box
+    records as columns for pass two, and three counts: the records read,
+    those of them outside the bounding box, and the distinct words seen
+    before the sigma filter.
     """
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
@@ -124,11 +116,8 @@ def scan_counts(records: Iterable[GeoRecord], sigma: int, grid: Grid,
 
     counts = np.bincount(np.frombuffer(wids, np.uint32))
     kept = np.flatnonzero(counts >= sigma)
-    if stats is not None:
-        stats.records = seen
-        stats.skipped = skipped
-        stats.distinct_words = int(np.count_nonzero(counts))
-    return WordTable(dict(zip(kept.tolist(), counts[kept].tolist()))), cols
+    return (WordTable(dict(zip(kept.tolist(), counts[kept].tolist()))), cols,
+            seen, skipped, int(np.count_nonzero(counts)))
 
 
 def insert_record(words: WordTable, cols: Columns, height: int) -> SpatialTree:

@@ -19,8 +19,7 @@ from spatialfp.formats import MalformedRecord
 from spatialfp.grid import BoundingBox, GeoPoint, Gid, Grid, cell_bounds, encode, gid_str
 from spatialfp.spatial_mining import (Bases, Found, Patterns, SpatialPattern, canonical,
                                       fp_growth, mine_tree, tree_from_weighted_paths)
-from spatialfp.spatial_tree import (Columns, ScanStats, SpatialTree, WordTable, insert_record,
-                                   scan_counts)
+from spatialfp.spatial_tree import Columns, SpatialTree, WordTable, insert_record, scan_counts
 from spatialfp.text import GeoRecord, Vocabulary, tokenize
 
 # --- grid and vocabulary queries the program itself does not need ---------
@@ -168,10 +167,9 @@ def fuzz_instance(seed: int):
 # --- the tree alone, built as engine.mine builds it ------------------------
 
 
-def build_tree(source, sigma: int, grid: Grid,
-               stats: ScanStats | None = None) -> SpatialTree:
+def build_tree(source, sigma: int, grid: Grid) -> SpatialTree:
     """Both passes over one read of ``source``, built, without growth."""
-    words, cols = scan_counts(source, sigma, grid, stats)
+    words, cols, *_ = scan_counts(source, sigma, grid)
     return insert_record(words, cols, grid.height)
 
 
@@ -724,15 +722,16 @@ def as_result(patterns, words: WordTable) -> Patterns:
 def bases_as_ints(chunks) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """``conditional_bases``' chunks as ``(rank, base)`` pairs, ascending,
     each base ``(item, tidset, support)`` in its order, every tidset one
-    int read from the chunk's words, least significant first."""
+    int read from the chunk's words, least significant first, and its
+    support the records in that tidset."""
     out = []
     for bases in chunks:
         ends = [*bases.at.tolist()[1:], len(bases.bits)]
-        groups = list(zip(bases.rank.tolist(), bases.item.tolist(), bases.at.tolist(), ends,
-                          bases.total.tolist()))
+        groups = list(zip(bases.rank.tolist(), bases.item.tolist(), bases.at.tolist(), ends))
         for r in bases.ranks.tolist():
-            out.append((r, [(item, int.from_bytes(bases.bits[at:end].tobytes(), "little"), total)
-                            for rank, item, at, end, total in groups if rank == r]))
+            tidsets = [(item, int.from_bytes(bases.bits[at:end].tobytes(), "little"))
+                       for rank, item, at, end in groups if rank == r]
+            out.append((r, [(item, tids, tids.bit_count()) for item, tids in tidsets]))
     return out
 
 
@@ -752,7 +751,7 @@ def grow_cells(base: list[tuple[int, int, int]],
         bits[g * span:(g + 1) * span] = np.frombuffer(tids.to_bytes(span * 8, "little"), "<u8")
     bases = Bases(np.array([top]), np.full(len(base), top),
                   np.array([item for item, _, _ in base], np.int64), np.arange(len(base)) * span,
-                  np.array([total for _, _, total in base], np.int64), bits)
+                  bits)
     # A cell of no records holds no pattern, and ``mine_tree`` makes none.
     live = [i for i, (lo, hi, _) in enumerate(cells) if lo < hi]
     lo, hi, sigma = (np.array([cells[i][k] for i in live], np.int64) for k in range(3))

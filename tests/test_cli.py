@@ -407,6 +407,14 @@ def test_huge_numbers_count_as_malformed_lines(tmp_path):
     (("check", "--input", "x", "--bbox", "0,0,4,4", "--height", "1",
       "--sigma", "2", "--limit", "-1"), 2, "--limit"),
     (("stats", "--input", "x", "--limit", "-1"), 2, "--limit"),
+    (("gen", "--output", "y", "--bbox=-1,-1,1,1", "--height", "2", "--records", "5",
+      "--vocab", "10", "--seed", "-1"), 2, "seed"),
+    (("gen", "--output", "y", "--bbox=-1,-1,1,1", "--height", "2", "--records", "5",
+      "--vocab", "10", "--words-mean", "nan"), 2, "words_per_record_mean"),
+    (("gen", "--output", "y", "--bbox=-1,-1,1,1", "--height", "2", "--records", "5",
+      "--vocab", "10", "--words-mean", "inf"), 2, "words_per_record_mean"),
+    (("gen", "--output", "y", "--bbox=-1,-1,1,1", "--height", "2", "--records", "5",
+      "--vocab", "10", "--zipf", "nan"), 2, "zipf_exponent"),
 ])
 def test_flag_validation_exits_2(args, code, needle):
     proc = run_cli(*args)

@@ -74,6 +74,11 @@ def test_zero_records():
     GenConfig(n_records=5, vocab_size=0),
     GenConfig(n_records=5, vocab_size=5, words_per_record_mean=0.0),
     GenConfig(n_records=5, vocab_size=5, zipf_exponent=-0.5),
+    GenConfig(n_records=5, vocab_size=5, seed=-1),
+    GenConfig(n_records=5, vocab_size=5, words_per_record_mean=float("nan")),
+    GenConfig(n_records=5, vocab_size=5, words_per_record_mean=float("inf")),
+    GenConfig(n_records=5, vocab_size=5, zipf_exponent=float("nan")),
+    GenConfig(n_records=5, vocab_size=5, zipf_exponent=float("inf")),
     GenConfig(n_records=5, vocab_size=5,
               planted=(PlantedPattern((), Gid(0, 0), 1),)),
     GenConfig(n_records=5, vocab_size=5,

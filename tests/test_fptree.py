@@ -87,13 +87,12 @@ def test_packed_rows_become_a_base():
     # takes the words its bits [lo, hi) touch, the bits outside masked.
     top = 1 << 63
     bits = np.array([0b101 | top, 0b11, 0b10, top, 0], np.uint64)
-    bases = Bases(np.array([9]), np.array([9, 9]), np.array([7, 2]), np.array([0, 2]),
-                  np.array([5, 2]), bits)
+    bases = Bases(np.array([9]), np.array([9, 9]), np.array([7, 2]), np.array([0, 2]), bits)
     lo, hi, sigma = np.array([1, 64, 0]), np.array([65, 128, 128]), np.array([2, 1, 3])
     got = tree_from_weighted_paths(bases, np.array([9, 9, 9], np.uint16), lo, hi, sigma)
     assert sorted(got) == [1, 2]
     # Cell 0 (bits 1-64, sigma 2) keeps item 7 (3 bits) but not item 2 (1
-    # bit); cell 2 (all bits, sigma 3) drops item 2 by its total of 2.
+    # bit); cell 2 (all bits, sigma 3) drops item 2, which has 2 bits.
     cell, ranks, count, rows = got[2]
     assert cell.tolist() == [0, 2] and ranks.tolist() == [[7, 9], [7, 9]]
     assert count.tolist() == [3, 5] and rows.tolist() == [[0b100 | top, 0b1], [0b101 | top, 0b11]]
@@ -116,8 +115,7 @@ def test_cells_of_different_widths_share_a_bucket():
     bits = np.zeros(len(base) * span + 1, np.uint64)
     for g, (_, tids, _) in enumerate(base):
         bits[g * span:(g + 1) * span] = np.frombuffer(tids.to_bytes(span * 8, "little"), "<u8")
-    bases = Bases(np.array([9]), np.full(3, 9), np.array([2, 1, 0]), np.arange(3) * span,
-                  np.array([300, 600, 400]), bits)
+    bases = Bases(np.array([9]), np.full(3, 9), np.array([2, 1, 0]), np.arange(3) * span, bits)
     got = tree_from_weighted_paths(bases, rank, lo, hi, sigma)
     assert sorted(got) == [4, 8]
     # Item 2 first occurs at record 300, so cells 0 and 1 drop it.

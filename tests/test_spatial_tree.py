@@ -38,7 +38,6 @@ from spatialfp.grid import MAX_HEIGHT, BoundingBox, GeoPoint, Grid, encode
 from spatialfp.oracle import reference_patterns
 from spatialfp.spatial_mining import patterns_to_dict
 from spatialfp.spatial_tree import (
-    ScanStats,
     WordTable,
     insert_record,
     scan_counts,
@@ -49,8 +48,7 @@ NAMES = {A: "a", B: "b", C: "c"}.get
 
 
 def test_first_scan_counts_and_prunes():
-    stats = ScanStats()
-    words, cols = scan_counts(reference_records(), 2, REF_GRID, stats)
+    words, cols, records, skipped, distinct = scan_counts(reference_records(), 2, REF_GRID)
     assert words.counts == {A: 3, B: 3}
     assert words.order == [A, B]
     assert words.rank == {A: 0, B: 1}
@@ -63,18 +61,14 @@ def test_first_scan_counts_and_prunes():
     assert list(cols.offsets) == [0, 2, 4, 5, 7]
     assert list(cols.leaves) == [0b00, 0b00, 0b01, 0b01]
     assert sorted(cols.wids[5:7]) == [B, C]
-    assert stats.records == 4
-    assert stats.skipped == 0
-    assert stats.distinct_words == 3
+    assert (records, skipped, distinct) == (4, 0, 3)
 
 
 def test_first_scan_skips_out_of_box():
     records = reference_records() + [
         GeoRecord("far", frozenset({A}), GeoPoint(9.0, 9.0))]
-    stats = ScanStats()
-    words, cols = scan_counts(records, 2, REF_GRID, stats)
-    assert stats.records == 5
-    assert stats.skipped == 1
+    words, cols, seen, skipped, _ = scan_counts(records, 2, REF_GRID)
+    assert (seen, skipped) == (5, 1)
     assert words.counts[A] == 3
     assert len(cols.leaves) == 4
 
@@ -137,7 +131,7 @@ def test_nodes_of_lists_distinct_nodes_per_word():
 
 
 def _empty_ref_tree() -> ReferenceTree:
-    words, _ = scan_counts(reference_records(), 2, REF_GRID)
+    words, *_ = scan_counts(reference_records(), 2, REF_GRID)
     return ReferenceTree(words, REF_GRID.height)
 
 
