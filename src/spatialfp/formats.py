@@ -27,7 +27,7 @@ def parse_record_line(line: str, seq: int, vocab: Vocabulary,
                       stopwords: frozenset[str]) -> GeoRecord:
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
         raise MalformedRecord(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedRecord("record line is not an object")
@@ -52,6 +52,13 @@ def parse_record_line(line: str, seq: int, vocab: Vocabulary,
         if not isinstance(text, str):
             raise MalformedRecord("record needs a text or words field")
         tokens = tokenize(text)
+    # A lone surrogate cannot be written out as UTF-8; read from a UTF-8
+    # file, only a line with a ``\u`` escape, so a backslash, holds one.
+    if "\\" in line:
+        try:
+            "".join(tokens).encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecord("words hold a lone surrogate") from None
 
     oid = obj.get("id")
     if type(oid) is not str:

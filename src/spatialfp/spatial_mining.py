@@ -173,8 +173,8 @@ def conditional_bases(tree: SpatialTree, floor: int, ranks: Sequence[int]) -> It
     The bits of a chunk are set at once, from one expansion of its
     entries' ancestors, into one packed buffer. Each (entry, item) pair
     sets its entry's records as one range of bits, so the temporaries grow
-    with the pairs, never with the bits, and a rank's pairs are never
-    split between chunks."""
+    with the pairs and the buffer's words, never one element per bit, and
+    a rank's pairs are never split between chunks."""
     import numpy as np
 
     start, node, count = tree.head_start, tree.head_node, tree.head_count
@@ -213,7 +213,7 @@ def _chunk_bases(np, ranks, start, node, count, parent, rank_of, acc, floor) -> 
     local = np.repeat(np.arange(len(ranks), dtype=np.int32), lens)  # chunk rank of each entry
     entry = np.arange(len(local)) + np.repeat(first - (np.cumsum(lens) - lens), lens)
     bit = acc[entry] - acc[first][local]  # each entry's first bit
-    size = ((acc[stop] - acc[first] + 63) >> 6) << 3  # bytes per tidset of each rank, whole words
+    size = (acc[stop] - acc[first] + 63) >> 6  # words per tidset of each rank
     records = count[entry]
     # Every (entry, ancestor) pair, all entries walked up one level at a time.
     pe, items = [], []
@@ -246,27 +246,22 @@ def _chunk_bases(np, ranks, start, node, count, parent, rank_of, acc, floor) -> 
     pe, weight = pe[kept], weight[kept]
     key = key[heads[keep]]
     owner = key // words
-    nbytes = size[owner]
-    at = np.cumsum(nbytes) - nbytes  # each kept group's first byte in ``buf``
-    # A pair sets bits [lo, hi) of ``buf``, one per record of its entry.
-    # No two ranges share a whole byte: the whole bytes of each range are
-    # marked at both ends and filled by one running sum (mod 256, so an
-    # end that meets the next range's start cancels out). The range's bits
-    # in lo's byte, and in hi's byte where that is another, are OR'ed in.
-    lo = at[slot] * 8 + bit[pe]
-    hi = lo + weight
-    whole_lo, whole_hi = (lo + 7) >> 3, hi >> 3
-    whole = whole_lo < whole_hi
-    buf = np.zeros(int(nbytes.sum()) + 8, np.uint8)
-    buf[whole_lo[whole]] = 1
-    buf[whole_hi[whole]] -= 1
-    np.cumsum(buf, dtype=np.uint8, out=buf)
-    buf *= 255
-    tail = (hi & 7 != 0) & (whole_hi > lo >> 3)
-    a = np.concatenate((lo, hi[tail] & ~7))
-    b = np.concatenate((np.minimum(hi, (lo | 7) + 1), hi[tail]))
-    np.bitwise_or.at(buf, a >> 3, (((1 << (b - a)) - 1) << (a & 7)).astype(np.uint8))
-    return Bases(ranks, ranks[owner], words - 1 - key % words, at >> 3, buf.view("<u8"))
+    nwords = size[owner]
+    at = np.cumsum(nwords) - nwords  # each kept group's first word in ``buf``
+    # A pair sets bits [lo, hi) of ``buf``, one per record of its entry,
+    # by a mark at both ends (ranges never overlap; marks that meet
+    # cancel): a bit is set when the marks at or below it are odd in
+    # number, by each word's own prefix XOR, flipped where the words
+    # before it hold an odd number of marks.
+    lo = at[slot] * 64 + bit[pe]
+    ends = np.concatenate((lo, lo + weight))
+    buf = np.zeros(int(nwords.sum()) + 1, np.uint64)
+    np.bitwise_xor.at(buf, ends >> 6, np.uint64(1) << (ends & 63).astype(np.uint64))
+    for shift in (1, 2, 4, 8, 16, 32):
+        buf ^= buf << np.uint64(shift)
+    odd = np.bitwise_xor.accumulate(buf >> np.uint64(63)) == 1  # through each word
+    np.invert(buf[1:], out=buf[1:], where=odd[:-1])
+    return Bases(ranks, ranks[owner], words - 1 - key % words, at, buf)
 
 
 def tree_from_weighted_paths(bases: Bases, rank: ndarray, lo: ndarray, hi: ndarray,

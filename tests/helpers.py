@@ -852,7 +852,7 @@ def reference_parse_record_line(line: str, seq: int, vocab: Vocabulary,
     in sorted order of the record's whole wordset."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedRecord("record line is not an object")
@@ -876,6 +876,8 @@ def reference_parse_record_line(line: str, seq: int, vocab: Vocabulary,
         if not isinstance(text, str):
             raise MalformedRecord("record needs a text or words field")
         tokens = tokenize(text)
+    if any(0xD800 <= ord(c) <= 0xDFFF for t in tokens for c in t):
+        raise MalformedRecord("words hold a lone surrogate")
 
     oid = obj.get("id")
     if oid is None:

@@ -317,12 +317,13 @@ def test_check_detects_corrupted_output(ref_corpus, monkeypatch, capsys):
 def test_check_refuses_oversized_instances_without_force(tmp_path):
     corpus = tmp_path / "big.jsonl"
     run_cli("gen", "--output", corpus, "--bbox", "0,0,4,4", "--height", "1",
-            "--records", "2100", "--vocab", "30", "--words-mean", "3",
+            "--records", "20001", "--vocab", "30", "--words-mean", "3",
             "--seed", "3")
-    args = ("check", "--input", corpus, "--bbox", "0,0,4,4", "--height", "1",
+    args = ("check", "--input", corpus, "--bbox", "0,0,4,4", "--height", "9",
             "--sigma", "100")
     proc = run_cli(*args)
     assert proc.returncode == 2
+    assert "20001 records > 20000; height 9 > 8" in proc.stderr
     assert "--force" in proc.stderr
 
     forced = run_cli(*args, "--force")
@@ -364,21 +365,25 @@ def test_stats_counts_malformed_lines(tmp_path):
 
 
 def test_huge_numbers_count_as_malformed_lines(tmp_path):
-    # An int above float range, and an int literal past the digit limit
-    # of int-from-string conversion; either used to end the run with a
-    # traceback.
+    # An int above float range, an int literal past the digit limit of
+    # int-from-string conversion, arrays nested past the recursion limit
+    # and an escaped lone surrogate among the words; each used to end the
+    # run with a traceback.
     corpus = tmp_path / "huge.jsonl"
     good = [json.dumps({"words": ["a", "b"], "lon": 1.0 + i % 3, "lat": 1.0})
-            for i in range(30)]
+            for i in range(40)]
     corpus.write_text("\n".join(good + [
         '{"words": ["a"], "lon": 1' + "0" * 400 + ', "lat": 1.0}',
         '{"words": ["a"], "lon": 1.0, "lat": ' + "1" * 5000 + '}',
+        '{"words": ' + "[" * 1000 + "]" * 1000 + ', "lon": 1.0, "lat": 1.0}',
+        '{"words": ["\\ud800", "b"], "lon": 1.0, "lat": 1.0}',
     ]) + "\n", encoding="utf-8")
     for proc in [run_cli("mine", "--input", corpus, "--output", tmp_path / "out.jsonl",
                          "--bbox", "0,0,4,4", "--height", "1", "--sigma", "2"),
                  run_cli("stats", "--input", corpus)]:
         assert proc.returncode == 0, proc.stderr
-        assert summary_fields(proc.stdout)["malformed lines"] == "2"
+        assert "Traceback" not in proc.stderr
+        assert summary_fields(proc.stdout)["malformed lines"] == "4"
 
 
 @pytest.mark.parametrize("args,code,needle", [

@@ -46,6 +46,18 @@ def test_default_backend_matches_the_oracle(seed):
                    reference_patterns(records, grid, sigmas)).ok
 
 
+def test_default_backend_matches_the_oracle_at_the_reference_shape():
+    # The reference corpus's shape (ROADMAP aim 1) at a tenth of its
+    # records and vocabulary: thousands of patterns, root to level 4.
+    grid = Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), 5)
+    records = generate(GenConfig(n_records=10_000, vocab_size=5_000, zipf_exponent=0.9,
+                                 words_per_record_mean=5.0, seed=17), grid)
+    patterns, _ = engine.mine(records, 10, grid)
+    found = patterns_to_dict(patterns)
+    assert len(found) > 2_000
+    assert compare(found, reference_patterns(records, grid, [10] * 6)).ok
+
+
 def test_per_level_sigmas_differ_from_uniform():
     grid = Grid(BoundingBox(-10.0, -5.0, 10.0, 5.0), 2)
     records = generate(GenConfig(n_records=300, vocab_size=30,

@@ -69,6 +69,12 @@ def test_stopwords_apply():
     assert {vocab.word(w) for w in rec.words} == {"pizzas"}
 
 
+# Each used to crash the run: the first in json's scanner, the second
+# only when the words were written out.
+DEEP_LINE = '{"words": ' + "[" * 1000 + "]" * 1000 + ', "lon": 1.0, "lat": 1.0}'
+SURROGATE_LINE = '{"words": ["\\ud800", "b"], "lon": 1.0, "lat": 1.0}'
+
+
 @pytest.mark.parametrize("line", [
     "not json",
     '["an", "array"]',
@@ -83,6 +89,8 @@ def test_stopwords_apply():
     '{"text": 5, "lon": 0, "lat": 0}',
     '{"words": "pizza", "lon": 0, "lat": 0}',
     '{"words": ["ok", 3], "lon": 0, "lat": 0}',
+    pytest.param(DEEP_LINE, id="nested-past-the-recursion-limit"),
+    SURROGATE_LINE,
 ])
 def test_malformed_lines_are_rejected(line):
     with pytest.raises(MalformedRecord):
@@ -154,6 +162,8 @@ EDGE_LINES = [
     '{"words": ["m", "c"], "lon": 0.5, "lat": 0.5}',
     '{"words": ["z", "m", "a", "c", "b"], "lon": 0.5, "lat": 0.5}',
     '{"text": "y m x", "lon": 0.5, "lat": 0.5}',
+    DEEP_LINE,
+    SURROGATE_LINE,
 ]
 
 

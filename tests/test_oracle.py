@@ -17,20 +17,20 @@ from helpers import (
 )
 from spatialfp.engine import mine
 from spatialfp.grid import BoundingBox, GeoPoint, Grid
-from spatialfp.oracle import apriori, compare, group_by_cell, reference_patterns
+from spatialfp.oracle import compare, frequent_itemsets, group_by_cell, reference_patterns
 from spatialfp.spatial_mining import patterns_to_dict
 from spatialfp.text import GeoRecord
 
 
-def test_apriori_on_the_five_transaction_example():
+def test_frequent_itemsets_on_the_five_transaction_example():
     txs = [frozenset(t) for t in DINING_TRANSACTIONS]
-    assert apriori(txs, 2) == DINING_EXPECTED
+    assert frequent_itemsets(txs, 2) == DINING_EXPECTED
 
 
-def test_apriori_empty_and_bad_sigma():
-    assert apriori([], 2) == {}
+def test_frequent_itemsets_empty_and_bad_sigma():
+    assert frequent_itemsets([], 2) == {}
     with pytest.raises(ValueError):
-        apriori([frozenset({1})], 0)
+        frequent_itemsets([frozenset({1})], 0)
 
 
 transactions = st.lists(
@@ -40,8 +40,8 @@ transactions = st.lists(
 
 @given(transactions, st.integers(min_value=1, max_value=4))
 @settings(max_examples=80, deadline=None)
-def test_apriori_matches_powerset_counting(txs, sigma):
-    assert apriori(txs, sigma) == powerset_counts(txs, sigma)
+def test_frequent_itemsets_match_powerset_counting(txs, sigma):
+    assert frequent_itemsets(txs, sigma) == powerset_counts(txs, sigma)
 
 
 def test_group_by_cell_levels():
